@@ -19,6 +19,14 @@ import repro.graph.WeightedGraph
   * per increase-key — which changes constants only, never the *number* of
   * edge pushes that Lemma 3 bounds.
   *
+  * Heaps are built lazily, so a query's cost follows the nodes it reaches
+  * rather than 2m. Per query it is a zeroed O(n + 2m) allocation for the
+  * returned state and the heap arrays (no per-edge loop), plus one O(n(u))
+  * scan for min_e θ_e/A_e when node u first receives income, plus an
+  * O(n(u)) fill and heapify when u is first drained, plus O(log n(u)) per
+  * push. A node's keys change only while it drains, so a heap built late
+  * equals one built at the start: push order, counts and π̂ are the same.
+  *
   * An optional scan mode mirrors the §6.2 PowForPush-style switch: once
   * the number of edge pushes exceeds `scanSwitchFrac·2m` (i.e. we have
   * already done more pushes than one full scan would cost), the two-level
@@ -30,6 +38,11 @@ import repro.graph.WeightedGraph
   * stays honest.
   */
 object EdgePushSeq {
+
+  // Per-query state of a node's heap (see `run`).
+  private final val Unbuilt = 0
+  private final val MinKnown = 1
+  private final val Built = 2
 
   /** Run EdgePush with per-directed-edge thresholds `theta` (use
     * [[Thresholds.l1]] or [[Thresholds.rmax]]).
@@ -57,24 +70,14 @@ object EdgePushSeq {
     var touches = 0L
 
     // --- local level: per-node binary heaps embedded in the CSR layout ---
-    // key(e) = (Q_e + θ_e) / w_e; heap(p) holds an edge index; hpos(e) is
-    // the absolute heap position of edge e within its node's segment.
+    // key(e) = (Q_e + θ_e) / w_e; heap(p) holds an edge index. A node's
+    // segment is filled and heapified only when the node is first drained
+    // (state Built). Before that, none of its edges has pushed, so its top
+    // key is min_e θ_e/w_e, found by one scan on first income (MinKnown).
     val key = new Array[Double](g.directedEdgeCount)
     val heap = new Array[Int](g.directedEdgeCount)
-    val hpos = new Array[Int](g.directedEdgeCount)
-    var e = 0
-    while (e < key.length) {
-      key(e) = theta(e) / g.wgt(e)
-      heap(e) = e
-      hpos(e) = e
-      e += 1
-    }
-
-    def swap(p1: Int, p2: Int): Unit = {
-      val e1 = heap(p1); val e2 = heap(p2)
-      heap(p1) = e2; heap(p2) = e1
-      hpos(e1) = p2; hpos(e2) = p1
-    }
+    val state = new Array[Byte](n) // Unbuilt, MinKnown or Built
+    val minKey = new Array[Double](n) // top key of a MinKnown node
 
     /** Restore the heap property downward from absolute position `p`
       * inside node u's segment [lo, hi).
@@ -89,45 +92,66 @@ object EdgePushSeq {
         if (left < hi && key(heap(left)) < key(heap(smallest))) smallest = left
         if (right < hi && key(heap(right)) < key(heap(smallest))) smallest = right
         if (smallest == p) continue = false
-        else { swap(p, smallest); p = smallest }
+        else {
+          val e = heap(p); heap(p) = heap(smallest); heap(smallest) = e
+          p = smallest
+        }
       }
     }
 
-    // Heapify every node's segment (keys start at θ/w — already set).
-    var u = 0
-    while (u < n) {
+    /** Fill u's segment with its initial keys θ/w and heapify it (Floyd). */
+    def build(u: Int): Unit = {
       val lo = g.indptr(u); val hi = g.indptr(u + 1)
+      var e = lo
+      while (e < hi) { key(e) = theta(e) / g.wgt(e); heap(e) = e; e += 1 }
       var p = lo + (hi - lo) / 2 - 1
       while (p >= lo) { siftDown(lo, hi, p); p -= 1 }
-      u += 1
+      state(u) = Built
     }
+
+    /** Key at the top of Q(x), for a node x with edges. */
+    def topKey(x: Int): Double =
+      if (state(x) == Built) key(heap(g.indptr(x)))
+      else {
+        if (state(x) == Unbuilt) {
+          var m = Double.PositiveInfinity
+          var e = g.indptr(x)
+          while (e < g.indptr(x + 1)) {
+            val k = theta(e) / g.wgt(e)
+            if (k < m) m = k
+            e += 1
+          }
+          minKey(x) = m
+          state(x) = MinKnown
+        }
+        minKey(x)
+      }
 
     // K_u ≤ 0  ⇔  (1−α)q(u)/d(u) ≥ key(top of Q(u))
-    def eligible(x: Int): Boolean = {
-      val lo = g.indptr(x)
-      lo < g.indptr(x + 1) && g.deg(x) > 0 &&
-        (1 - alpha) * q(x) / g.deg(x) >= key(heap(lo))
-    }
+    def eligible(x: Int): Boolean =
+      g.indptr(x) < g.indptr(x + 1) && g.deg(x) > 0 &&
+        (1 - alpha) * q(x) / g.deg(x) >= topKey(x)
 
-    // --- global level: list L of nodes with K_u ≤ 0 (lazily validated) ---
+    // --- global level: FIFO ring L of nodes with K_u ≤ 0; a node is in L
+    // at most once (inL), so n slots suffice ---
     val inL = new Array[Boolean](n)
-    val list = new java.util.ArrayDeque[Integer]()
-    var inLCount = 0
-    def addL(x: Int): Unit =
-      if (!inL(x)) { inL(x) = true; inLCount += 1; list.add(x) }
+    val ring = new Array[Int](n)
+    var head = 0
+    var size = 0
+    if (eligible(s)) { inL(s) = true; ring(0) = s; size = 1 }
 
-    if (eligible(s)) addL(s)
-
-    val switchAt = scanSwitchFrac.map(f => f * g.directedEdgeCount)
+    val switchAt = scanSwitchFrac.fold(Double.PositiveInfinity)(_ * g.directedEdgeCount)
     var switched = false
 
-    while (!list.isEmpty && !switched) {
-      val x: Int = list.poll()
+    while (size > 0 && !switched) {
+      val x = ring(head)
+      head = if (head + 1 == n) 0 else head + 1
+      size -= 1
       inL(x) = false
-      inLCount -= 1
       // Drain x: pushing along x's best edge only raises that edge's key,
       // so repeated find-min pushes stay correct until K_x > 0.
       var go = eligible(x)
+      if (go && state(x) != Built) build(x)
       while (go) {
         val lo = g.indptr(x)
         val eTop = heap(lo)
@@ -143,10 +167,15 @@ object EdgePushSeq {
         // increase-key of eTop, then re-check the two affected nodes.
         key(eTop) = (expense(eTop) + theta(eTop)) / g.wgt(eTop)
         siftDown(lo, g.indptr(x + 1), lo)
-        if (eligible(v)) addL(v)
+        if (!inL(v) && eligible(v)) {
+          inL(v) = true
+          val tail = head + size
+          ring(if (tail >= n) tail - n else tail) = v
+          size += 1
+        }
         go = eligible(x)
       }
-      if (switchAt.exists(pushOps > _)) switched = true
+      if (pushOps > switchAt) switched = true
     }
 
     if (switched) {

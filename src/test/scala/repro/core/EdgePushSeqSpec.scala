@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
+import repro.graph.WeightedGraph
 import repro.graphgen.{Affinity, GraphGen}
 import repro.metrics.Errors
 
@@ -173,5 +174,161 @@ class EdgePushSeqSpec extends AnyFunSuite {
       u += 1
     }
     assert(res.pushOps <= bound, s"pushes=${res.pushOps} bound=$bound")
+  }
+
+  /** The graph with one more node, which has no edges. */
+  private def withIsolatedNode(g: WeightedGraph): WeightedGraph =
+    WeightedGraph.fromUndirectedEdges(g.n + 1, GraphGen.undirectedEdges(g))
+
+  /** FNV-1a over the exact bits of every entry, so two vectors that differ
+    * in a single ulp anywhere get different digests.
+    */
+  private def bitsDigest(pi: Array[Double]): Long =
+    pi.foldLeft(0xcbf29ce484222325L)((h, x) =>
+      (h ^ java.lang.Double.doubleToLongBits(x)) * 0x100000001b3L)
+
+  private lazy val goldenGraphs: Map[String, WeightedGraph] = Map(
+    "star" -> withIsolatedNode(GraphGen.unbalancedStar(300)),
+    "complete" -> withIsolatedNode(GraphGen.unbalancedComplete(80)),
+    "affinity" -> withIsolatedNode(Affinity.graph(200, Affinity.paperConfigs(0), seed = 17)),
+    "chunglu" -> withIsolatedNode(
+      GraphGen.withParetoWeights(GraphGen.chungLu(2000, 8, 2.3), 1.1)),
+  )
+
+  /** (graph, thresholds, scanSwitchFrac, source, pushOps, edgeTouches,
+    * digest of π̂), recorded from the kernel that built every node's heap
+    * at the start of each query. The last source of each graph is its
+    * isolated node. Thresholds: `l1` is Thresholds.l1(g, 1e-4), `rmax` is
+    * Thresholds.rmax(g, 1e-5).
+    */
+  private val golden: Seq[(String, String, Option[Double], Int, Long, Long, Long)] = Seq(
+    ("star", "l1", None, 0, 6945L, 6945L, 0xe00a6717adb1d320L),
+    ("star", "l1", None, 1, 6350L, 6350L, 0xa60c68860d67cd23L),
+    ("star", "l1", None, 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("star", "l1", Some(0.0), 0, 6945L, 18368L, 0x09daf36f90bf5557L),
+    ("star", "l1", Some(0.0), 1, 6947L, 18071L, 0x02bb4eb039832366L),
+    ("star", "l1", Some(0.0), 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("star", "l1", Some(1.0), 0, 6946L, 18369L, 0xf8d76248143540b3L),
+    ("star", "l1", Some(1.0), 1, 6946L, 17768L, 0x46bf33659d914ae9L),
+    ("star", "l1", Some(1.0), 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("star", "rmax", None, 0, 11419L, 11419L, 0xf83dfac2f6f33051L),
+    ("star", "rmax", None, 1, 11123L, 11123L, 0x0593a3d3acf34722L),
+    ("star", "rmax", None, 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("star", "rmax", Some(0.0), 0, 11419L, 22548L, 0x744098432c9e508bL),
+    ("star", "rmax", Some(0.0), 1, 11421L, 22251L, 0xfd8703b059749e01L),
+    ("star", "rmax", Some(0.0), 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("star", "rmax", Some(1.0), 0, 11719L, 23146L, 0x4ce9fb5d175ac74cL),
+    ("star", "rmax", Some(1.0), 1, 11420L, 21948L, 0x27a03d863d2e2128L),
+    ("star", "rmax", Some(1.0), 301, 0L, 0L, 0xe368c2fd6d70f90fL),
+    ("complete", "l1", None, 0, 73026L, 73026L, 0xb48072e8036f5d1fL),
+    ("complete", "l1", None, 58, 73957L, 73957L, 0xa95a8687ee31e770L),
+    ("complete", "l1", None, 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("complete", "l1", Some(0.0), 0, 72571L, 164534L, 0x856e9a4490b3fddfL),
+    ("complete", "l1", Some(0.0), 58, 75909L, 160041L, 0x2992bb44b6161357L),
+    ("complete", "l1", Some(0.0), 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("complete", "l1", Some(1.0), 0, 72508L, 165644L, 0xfa3c70f40f967a65L),
+    ("complete", "l1", Some(1.0), 58, 75964L, 158607L, 0x2e7ef0c931b0a321L),
+    ("complete", "l1", Some(1.0), 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("complete", "rmax", None, 0, 19178L, 19178L, 0x5db689136c78cf6cL),
+    ("complete", "rmax", None, 58, 19312L, 19312L, 0x24a1495a2e4df37fL),
+    ("complete", "rmax", None, 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("complete", "rmax", Some(0.0), 0, 19318L, 125024L, 0x9de785efd103ae03L),
+    ("complete", "rmax", Some(0.0), 58, 19310L, 128974L, 0x47ba383a52ccb9c5L),
+    ("complete", "rmax", Some(0.0), 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("complete", "rmax", Some(1.0), 0, 19248L, 93276L, 0x885baed5e984c8a9L),
+    ("complete", "rmax", Some(1.0), 58, 19431L, 92822L, 0x8ed975433c323007L),
+    ("complete", "rmax", Some(1.0), 80, 0L, 0L, 0x79287f3f0832e14dL),
+    ("affinity", "l1", None, 0, 565959L, 565959L, 0x6f02ef0e6b5be03cL),
+    ("affinity", "l1", None, 147, 576803L, 576803L, 0x3832072366f8203cL),
+    ("affinity", "l1", None, 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("affinity", "l1", Some(0.0), 0, 588558L, 1099122L, 0x06810c11f9a08b06L),
+    ("affinity", "l1", Some(0.0), 147, 594860L, 1090571L, 0x4f9b295b73dcf6adL),
+    ("affinity", "l1", Some(0.0), 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("affinity", "l1", Some(1.0), 0, 574485L, 1083993L, 0x0b174fa39d1174d4L),
+    ("affinity", "l1", Some(1.0), 147, 585169L, 1100488L, 0x649af78ef87214f4L),
+    ("affinity", "l1", Some(1.0), 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("affinity", "rmax", None, 0, 97215L, 97215L, 0xb68d4575d969def0L),
+    ("affinity", "rmax", None, 147, 107582L, 107582L, 0x524c3153ac3a8efbL),
+    ("affinity", "rmax", None, 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("affinity", "rmax", Some(0.0), 0, 100307L, 389631L, 0x4f4a342358c8acc7L),
+    ("affinity", "rmax", Some(0.0), 147, 110943L, 461688L, 0x23592c389915b669L),
+    ("affinity", "rmax", Some(0.0), 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("affinity", "rmax", Some(1.0), 0, 98104L, 399680L, 0x63d20dd8815293c5L),
+    ("affinity", "rmax", Some(1.0), 147, 108169L, 443049L, 0x551a1ed424944fffL),
+    ("affinity", "rmax", Some(1.0), 200, 0L, 0L, 0xaecca70729fe446dL),
+    ("chunglu", "l1", None, 0, 331165L, 331165L, 0xc5764dee2410bf09L),
+    ("chunglu", "l1", None, 735, 318881L, 318881L, 0x2d44eaef7f286190L),
+    ("chunglu", "l1", None, 2000, 0L, 0L, 0xbc2155e993c7a34dL),
+    ("chunglu", "l1", Some(0.0), 0, 340120L, 462969L, 0xdf8b90c3c87e4671L),
+    ("chunglu", "l1", Some(0.0), 735, 339959L, 464293L, 0xf51f48d57f1c1d4fL),
+    ("chunglu", "l1", Some(0.0), 2000, 0L, 0L, 0xbc2155e993c7a34dL),
+    ("chunglu", "l1", Some(1.0), 0, 336770L, 456216L, 0x78eaadd2a8c11a20L),
+    ("chunglu", "l1", Some(1.0), 735, 333148L, 454124L, 0xeffdd4219de049f4L),
+    ("chunglu", "l1", Some(1.0), 2000, 0L, 0L, 0xbc2155e993c7a34dL),
+    ("chunglu", "rmax", None, 0, 12522L, 12522L, 0x7b7d12a34815dca2L),
+    ("chunglu", "rmax", None, 735, 4608L, 4608L, 0xe7a2873d90c05b84L),
+    ("chunglu", "rmax", None, 2000, 0L, 0L, 0xbc2155e993c7a34dL),
+    ("chunglu", "rmax", Some(0.0), 0, 12322L, 80305L, 0x35c35b40eff5e86cL),
+    ("chunglu", "rmax", Some(0.0), 735, 4572L, 51041L, 0xcc640cb6ad5589ecL),
+    ("chunglu", "rmax", Some(0.0), 2000, 0L, 0L, 0xbc2155e993c7a34dL),
+    ("chunglu", "rmax", Some(1.0), 0, 12522L, 12522L, 0x7b7d12a34815dca2L),
+    ("chunglu", "rmax", Some(1.0), 735, 4608L, 4608L, 0xe7a2873d90c05b84L),
+    ("chunglu", "rmax", Some(1.0), 2000, 0L, 0L, 0xbc2155e993c7a34dL)
+  )
+
+  for (graph <- Seq("star", "complete", "affinity", "chunglu"); kind <- Seq("l1", "rmax"))
+    test(s"golden: $graph graph, $kind thresholds: push counts and π̂ bits unchanged") {
+      val g = goldenGraphs(graph)
+      val theta = if (kind == "l1") Thresholds.l1(g, 1e-4) else Thresholds.rmax(g, 1e-5)
+      for ((_, _, mode, s, ops, touches, digest) <- golden.filter(r => r._1 == graph && r._2 == kind)) {
+        val res = EdgePushSeq.compute(g, s, alpha, theta, mode)
+        assert((res.pushOps, res.edgeTouches, bitsDigest(res.pi)) == ((ops, touches, digest)),
+          s"source $s, scanSwitchFrac $mode")
+      }
+    }
+
+  test("certificate: R_e < θ_e on every edge and mass conserved, with nodes reached but never drained") {
+    val g = goldenGraphs("chunglu")
+    val theta = Thresholds.rmax(g, 1e-5)
+    val isolated = (0 until g.n).find(g.deg(_) == 0).get
+    for (s <- g.sampleSourcesByDegree(3, 11).toSeq :+ isolated) {
+      val (pi, residues) = EdgePushSeq.computeWithResidues(g, s, alpha, theta)
+      // slack for the rounding of Q_e ≤ 1 when R_e is recomputed outside the kernel
+      residues.indices.foreach(e =>
+        assert(residues(e) < theta(e) + 1e-15, s"source $s edge $e: R_e=${residues(e)} θ_e=${theta(e)}"))
+      // a node without edges keeps its share (1−α)·q(u), with q(u) = π̂(u)/α
+      val kept = (0 until g.n).filter(g.deg(_) == 0).map(u => (1 - alpha) * pi(u) / alpha).sum
+      TestUtil.assertClose(pi.sum + residues.sum + kept, 1.0, 1e-9, s"source $s mass")
+    }
+    // Income reached nodes whose out-edges never pushed: their heaps were
+    // never needed, and the certificate above covers their edges too.
+    val (_, q, expense) = EdgePushSeq.run(g, g.sampleSourcesByDegree(1, 11)(0), alpha, theta)
+    val reachedUndrained = (0 until g.n).count(u =>
+      q(u) > 0 && g.nbrCount(u) > 0 && (g.indptr(u) until g.indptr(u + 1)).forall(expense(_) == 0))
+    assert(reachedUndrained > 0)
+  }
+
+  test("queries are isolated: A, B, A across modes gives identical A results") {
+    val g = goldenGraphs("chunglu")
+    val theta = Thresholds.rmax(g, 1e-5)
+    val Array(a, b) = g.sampleSourcesByDegree(2, 12)
+    for (mode <- Seq(None, Some(0.0), Some(1.0))) {
+      val first = EdgePushSeq.run(g, a, alpha, theta, mode)
+      EdgePushSeq.run(g, b, alpha, theta, mode)
+      val again = EdgePushSeq.run(g, a, alpha, theta, mode)
+      assert(first._1.pi.sameElements(again._1.pi), s"mode $mode: π̂")
+      assert((first._1.pushOps, first._1.edgeTouches) == ((again._1.pushOps, again._1.edgeTouches)))
+      assert(first._2.sameElements(again._2) && first._3.sameElements(again._3), s"mode $mode: q, Q")
+    }
+  }
+
+  test("run keeps the (PprResult, q, expense) shape that callers destructure") {
+    val g = goldenGraphs("chunglu")
+    val s = g.sampleSourcesByDegree(1, 13)(0)
+    val (res, q, expense): (PprResult, Array[Double], Array[Double]) =
+      EdgePushSeq.run(g, s, alpha, Thresholds.rmax(g, 1e-5), Some(1.0))
+    assert(expense.length == g.directedEdgeCount)
+    assert(q.length == g.n)
+    assert(res.pi.length == g.n)
   }
 }
