@@ -1,6 +1,7 @@
 package repro.core.dist
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Observation, SparkSession}
+import org.apache.spark.sql.catalyst.plans.logical.LeafNode
 import org.apache.spark.sql.functions._
 
 /** Relational graph views shared by the distributed push implementations.
@@ -26,6 +27,30 @@ object GraphFrames {
   def materialize(df: DataFrame): DataFrame = {
     val ck = df.localCheckpoint(true)
     ck.sparkSession.createDataFrame(ck.rdd, ck.schema)
+  }
+
+  /** `df` itself when its plan is a scan of stored rows (a checkpoint, a
+    * cached or a local relation), else [[materialize]]d.
+    */
+  def stored(df: DataFrame): DataFrame = df.queryExecution.optimizedPlan match {
+    case _: LeafNode => df
+    case _ => materialize(df)
+  }
+
+  /** Materialize `df` and cut its lineage, and aggregate `metrics` over
+    * its rows in the same pass (an [[Observation]]), so no second job
+    * re-evaluates `df`. Returns the materialized rows and the metrics by
+    * name.
+    *
+    * Unlike [[materialize]] this keeps the checkpoint's statistics: it is
+    * for plans without joins, whose size estimates add up instead of
+    * multiplying, and it saves the round trip through `Row` objects.
+    */
+  def materializeObserved(df: DataFrame, metric: Column, metrics: Column*)
+      : (DataFrame, Map[String, Any]) = {
+    val obs = Observation()
+    val out = df.observe(obs, metric, metrics: _*).localCheckpoint(true)
+    (out, obs.get)
   }
 
   /** Chained-call syntax for [[materialize]]. */
@@ -85,10 +110,14 @@ object GraphFrames {
   *                     EdgePushDF; Σ n(u) over active nodes for
   *                     LocalPushDF; 2m per iteration for PowerMethodDF)
   * @param perStepWork  edge touches per superstep (work profile)
+  * @param converged    false when `maxSupersteps` stopped the query before
+  *                     it terminated, so the termination certificate does
+  *                     not hold
   */
 final case class DistPprResult(
     pi: DataFrame,
     supersteps: Int,
     edgeTouches: Long,
     perStepWork: Seq[Long],
+    converged: Boolean = true,
 )

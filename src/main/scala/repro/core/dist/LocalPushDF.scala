@@ -2,7 +2,6 @@ package repro.core.dist
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.dist.GraphFrames.MaterializeOps
 
 /** LocalPush as bulk-synchronous DataFrame dataflow.
   *
@@ -12,51 +11,30 @@ import repro.core.dist.GraphFrames.MaterializeOps
   * that EdgePushDF undercuts on unbalanced graphs. Termination (no active
   * node) implies exactly Algorithm 1's guarantee: every residue is below
   * d(u)·θ, so Fact 1/Fact 2 error bounds carry over verbatim.
+  *
+  * It runs on EdgePushDF's superstep shape ([[FrontierPush]]). The state
+  * holds, per edge that has sent mass, what it has sent in total
+  * (`expense`), and per reached node its income q(u) = [u=s] + Σ_{e into u}
+  * expense_e and the residue it has pushed in total (`spent`). So
+  * r(u) = q(u) − spent(u) and π̂(u) = α·spent(u). Only a node whose income
+  * grew in the last superstep can be active (θ > 0), so a superstep reads
+  * only that frontier's edges; its work Σ n(u) over active nodes comes
+  * from the same pass.
   */
 object LocalPushDF {
 
   def compute(spark: SparkSession, edges: DataFrame, s: Long, alpha: Double,
               theta: Double, maxSupersteps: Int = 500): DistPprResult = {
-    val degrees = GraphFrames.materialize(GraphFrames.degreesDF(edges))
-    val e = edges.select(col("src"), col("dst"), col("weight")).materialized
-
-    // state: (node, deg, nbrs, r, p)
-    var state = degrees
-      .withColumn("r", when(col("node") === s, 1.0).otherwise(0.0))
-      .withColumn("p", lit(0.0))
-      .materialized
-
-    var steps = 0
-    var work = List.empty[Long]
-    var done = false
-    while (!done && steps < maxSupersteps) {
-      val active = state.filter(col("r") >= col("deg") * theta && col("deg") > 0)
-      val stats = active.agg(
-        count(lit(1)).as("cnt"), sum("nbrs").as("touches")).head()
-      val activeCnt = stats.getLong(0)
-      if (activeCnt == 0) done = true
-      else {
-        work = stats.getLong(1) :: work
-        val msgs = active
-          .join(e, col("node") === e("src"))
-          .select(e("dst").as("node2"),
-            (lit(1 - alpha) * col("r") * col("weight") / col("deg")).as("m"))
-          .groupBy("node2")
-          .agg(sum("m").as("m"))
-        state = state
-          .join(msgs, state("node") === col("node2"), "left")
-          .select(col("node"), col("deg"), col("nbrs"),
-            // active nodes push their whole residue and receive messages
-            (when(col("r") >= col("deg") * theta && col("deg") > 0, 0.0)
-              .otherwise(col("r")) + coalesce(col("m"), lit(0.0))).as("r"),
-            (col("p") + when(col("r") >= col("deg") * theta && col("deg") > 0,
-              lit(alpha) * col("r")).otherwise(0.0)).as("p"))
-          .materialized
-        steps += 1
-      }
-    }
-    val pi = state.select(col("node"), col("p").as("pi"))
-    val perStep = work.reverse
-    DistPprResult(pi, steps, perStep.sum, perStep)
+    require(theta > 0, s"theta must be positive, got $theta")
+    val r = col("q") - col("spent")
+    val active = coalesce(r >= col("dsrc") * theta, lit(false))
+    val run = FrontierPush.run(edges.select("src", "dst", "weight"), s, maxSupersteps,
+      Seq("spent"))(Seq(
+      (col("expense") + when(active, lit(1 - alpha) * r * col("weight") / col("dsrc"))
+        .otherwise(0.0)).as("expense"),
+      (col("spent") + when(active, r).otherwise(0.0)).as("spent")), active)
+    val pi = run.nodes((lit(alpha) * col("spent")).as("pi"))
+    DistPprResult(pi, run.perStepWork.length, run.perStepWork.sum, run.perStepWork,
+      run.converged)
   }
 }

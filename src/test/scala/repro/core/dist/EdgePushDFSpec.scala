@@ -1,5 +1,8 @@
 package repro.core.dist
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.SparkSpec
 import repro.TestUtil
 import repro.core.Thresholds
@@ -84,5 +87,48 @@ class EdgePushDFSpec extends SparkSpec {
     val got = GraphFrames.toDense(res.pi.withColumnRenamed("pi", "value"), g.n)
     assert(math.abs(got(0) - alpha) < 1e-12)
     assert(got.sum - alpha < 1e-12)
+  }
+
+  test("a run stopped by maxSupersteps reports converged = false") {
+    val rmax = 1e-3
+    val te = GraphFrames.withRmaxTheta(g.toEdgeDF(spark), rmax)
+    val full = EdgePushDF.compute(spark, te, 1L, alpha)
+    assert(full.converged && full.supersteps > 1)
+    val capped = EdgePushDF.compute(spark, te, 1L, alpha, maxSupersteps = 1)
+    assert(!capped.converged)
+    assert(capped.supersteps == 1 && capped.perStepWork == full.perStepWork.take(1))
+    // the state after the one applied superstep, not after the check pass
+    val oracle = EdgePushBsp.run(g, 1, alpha, Thresholds.rmax(g, rmax), maxSupersteps = 1)
+    val got = GraphFrames.toDense(capped.pi, g.n, "pi")
+    assert(TestUtil.l1Diff(got, oracle.pi) <= 1e-12)
+  }
+
+  test("a query runs at most 2 Spark jobs per pass") {
+    val te = GraphFrames.materialize(GraphFrames.withRmaxTheta(g.toEdgeDF(spark), 1e-3))
+    val sc = spark.sparkContext
+    val tag = "EdgePushDFSpec.jobs"
+    val jobs = new AtomicInteger
+    val marker = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(tag))) match {
+          case Some("query") => jobs.incrementAndGet()
+          case Some("marker") => marker.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(tag, "query")
+      val res = try EdgePushDF.compute(spark, te, 1L, alpha)
+      finally sc.setLocalProperty(tag, "marker")
+      // listener events arrive in order: once the marker job is seen, so
+      // is every job of the query
+      try sc.parallelize(Seq(1), 1).count() finally sc.setLocalProperty(tag, null)
+      assert(marker.await(60, TimeUnit.SECONDS))
+      assert(res.supersteps > 1)
+      assert(jobs.get <= 2 * (res.supersteps + 1),
+        s"${jobs.get} jobs for ${res.supersteps} supersteps")
+    } finally sc.removeSparkListener(listener)
   }
 }

@@ -50,4 +50,16 @@ class LocalPushDFSpec extends SparkSpec {
     assert(res.supersteps == 0)
     assert(res.edgeTouches == 0)
   }
+
+  test("a run stopped by maxSupersteps reports converged = false") {
+    val rmax = 1e-3
+    val full = LocalPushDF.compute(spark, g.toEdgeDF(spark), 1L, alpha, rmax)
+    assert(full.converged && full.supersteps > 1)
+    val capped = LocalPushDF.compute(spark, g.toEdgeDF(spark), 1L, alpha, rmax, maxSupersteps = 1)
+    assert(!capped.converged)
+    assert(capped.supersteps == 1 && capped.perStepWork == full.perStepWork.take(1))
+    val oracle = LocalPushBsp.run(g, 1, alpha, rmax, maxSupersteps = 1)
+    val got = GraphFrames.toDense(capped.pi, g.n, "pi")
+    assert(TestUtil.l1Diff(got, oracle.pi) <= 1e-12)
+  }
 }
