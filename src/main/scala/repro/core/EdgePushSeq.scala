@@ -19,13 +19,15 @@ import repro.graph.WeightedGraph
   * per increase-key — which changes constants only, never the *number* of
   * edge pushes that Lemma 3 bounds.
   *
-  * Heaps are built lazily, so a query's cost follows the nodes it reaches
-  * rather than 2m. Per query it is a zeroed O(n + 2m) allocation for the
-  * returned state and the heap arrays (no per-edge loop), plus one O(n(u))
-  * scan for min_e θ_e/A_e when node u first receives income, plus an
-  * O(n(u)) fill and heapify when u is first drained, plus O(log n(u)) per
-  * push. A node's keys change only while it drains, so a heap built late
-  * equals one built at the start: push order, counts and π̂ are the same.
+  * Heaps are built lazily, in a per-query arena, so a query's cost follows
+  * the nodes it reaches rather than 2m. Per query it is a zeroed O(n)
+  * allocation for per-node state, plus the returned 2m-long expense array
+  * Q (no per-edge loop), plus one O(n(u)) scan for min_e θ_e/A_e when node
+  * u first receives income, plus O(n(u)) arena space, fill and heapify when
+  * u is first drained, i.e. O(Σ n(u)) over drained nodes with the arena's
+  * doubling copies, plus O(log n(u)) per push. A node's keys change only
+  * while it drains, so a heap built late equals one built at the start:
+  * push order, counts and π̂ are the same.
   *
   * An optional scan mode mirrors the §6.2 PowForPush-style switch: once
   * the number of edge pushes exceeds `scanSwitchFrac·2m` (i.e. we have
@@ -43,6 +45,31 @@ object EdgePushSeq {
   private final val Unbuilt = 0
   private final val MinKnown = 1
   private final val Built = 2
+
+  /** Initial number of (key, edge) slots in a query's heap arena. */
+  private[core] final val InitialArena = 64
+
+  /** Restore the heap property downward from position `p0` of the segment
+    * [lo, hi) of the arena (keys, edges), where the children of position
+    * lo + i are lo + 2i + 1 and lo + 2i + 2.
+    */
+  private def siftDown(keys: Array[Double], edges: Array[Int], lo: Int, hi: Int, p0: Int): Unit = {
+    var p = p0
+    var continue = true
+    while (continue) {
+      val left = lo + 2 * (p - lo) + 1
+      val right = left + 1
+      var smallest = p
+      if (left < hi && keys(left) < keys(smallest)) smallest = left
+      if (right < hi && keys(right) < keys(smallest)) smallest = right
+      if (smallest == p) continue = false
+      else {
+        val k = keys(p); keys(p) = keys(smallest); keys(smallest) = k
+        val e = edges(p); edges(p) = edges(smallest); edges(smallest) = e
+        p = smallest
+      }
+    }
+  }
 
   /** Run EdgePush with per-directed-edge thresholds `theta` (use
     * [[Thresholds.l1]] or [[Thresholds.rmax]]).
@@ -69,111 +96,103 @@ object EdgePushSeq {
     var pushOps = 0L
     var touches = 0L
 
-    // --- local level: per-node binary heaps embedded in the CSR layout ---
-    // key(e) = (Q_e + θ_e) / w_e; heap(p) holds an edge index. A node's
-    // segment is filled and heapified only when the node is first drained
-    // (state Built). Before that, none of its edges has pushed, so its top
+    // --- local level: per-node binary heaps in a per-query arena ---
+    // When node u is first drained (state Built), its segment of
+    // (hKey, hEdge) pairs is appended to the arena at off(u), in u's CSR
+    // order, and heapified: hKey(p) = (Q_e + θ_e)/w_e of the edge
+    // e = hEdge(p). Before that, none of u's edges has pushed, so its top
     // key is min_e θ_e/w_e, found by one scan on first income (MinKnown).
-    val key = new Array[Double](g.directedEdgeCount)
-    val heap = new Array[Int](g.directedEdgeCount)
+    // minKey caches the top key of every node past Unbuilt. The arena
+    // starts small and doubles, capped at 2m.
+    var hKey = new Array[Double](math.min(InitialArena, g.directedEdgeCount))
+    var hEdge = new Array[Int](hKey.length)
+    var used = 0
+    val off = new Array[Int](n)
     val state = new Array[Byte](n) // Unbuilt, MinKnown or Built
-    val minKey = new Array[Double](n) // top key of a MinKnown node
+    val minKey = new Array[Double](n)
 
-    /** Restore the heap property downward from absolute position `p`
-      * inside node u's segment [lo, hi).
-      */
-    def siftDown(lo: Int, hi: Int, p0: Int): Unit = {
-      var p = p0
-      var continue = true
-      while (continue) {
-        val left = lo + 2 * (p - lo) + 1
-        val right = left + 1
-        var smallest = p
-        if (left < hi && key(heap(left)) < key(heap(smallest))) smallest = left
-        if (right < hi && key(heap(right)) < key(heap(smallest))) smallest = right
-        if (smallest == p) continue = false
-        else {
-          val e = heap(p); heap(p) = heap(smallest); heap(smallest) = e
-          p = smallest
-        }
-      }
-    }
-
-    /** Fill u's segment with its initial keys θ/w and heapify it (Floyd). */
+    /** Append u's segment with its initial keys θ/w and heapify it (Floyd). */
     def build(u: Int): Unit = {
-      val lo = g.indptr(u); val hi = g.indptr(u + 1)
-      var e = lo
-      while (e < hi) { key(e) = theta(e) / g.wgt(e); heap(e) = e; e += 1 }
-      var p = lo + (hi - lo) / 2 - 1
-      while (p >= lo) { siftDown(lo, hi, p); p -= 1 }
+      val e0 = g.indptr(u)
+      val len = g.indptr(u + 1) - e0
+      if (used + len > hKey.length) {
+        val cap = math.min(math.max(2L * hKey.length, used + len), g.directedEdgeCount).toInt
+        hKey = java.util.Arrays.copyOf(hKey, cap)
+        hEdge = java.util.Arrays.copyOf(hEdge, cap)
+      }
+      val lo = used
+      var i = 0
+      while (i < len) { hKey(lo + i) = theta(e0 + i) / g.wgt(e0 + i); hEdge(lo + i) = e0 + i; i += 1 }
+      var p = lo + len / 2 - 1
+      while (p >= lo) { siftDown(hKey, hEdge, lo, lo + len, p); p -= 1 }
+      used += len
+      off(u) = lo
+      minKey(u) = hKey(lo)
       state(u) = Built
     }
 
     /** Key at the top of Q(x), for a node x with edges. */
-    def topKey(x: Int): Double =
-      if (state(x) == Built) key(heap(g.indptr(x)))
-      else {
-        if (state(x) == Unbuilt) {
-          var m = Double.PositiveInfinity
-          var e = g.indptr(x)
-          while (e < g.indptr(x + 1)) {
-            val k = theta(e) / g.wgt(e)
-            if (k < m) m = k
-            e += 1
-          }
-          minKey(x) = m
-          state(x) = MinKnown
+    def topKey(x: Int): Double = {
+      if (state(x) == Unbuilt) {
+        var m = Double.PositiveInfinity
+        var e = g.indptr(x)
+        while (e < g.indptr(x + 1)) {
+          val k = theta(e) / g.wgt(e)
+          if (k < m) m = k
+          e += 1
         }
-        minKey(x)
+        minKey(x) = m
+        state(x) = MinKnown
       }
+      minKey(x)
+    }
 
     // K_u ≤ 0  ⇔  (1−α)q(u)/d(u) ≥ key(top of Q(u))
     def eligible(x: Int): Boolean =
       g.indptr(x) < g.indptr(x + 1) && g.deg(x) > 0 &&
         (1 - alpha) * q(x) / g.deg(x) >= topKey(x)
 
-    // --- global level: FIFO ring L of nodes with K_u ≤ 0; a node is in L
-    // at most once (inL), so n slots suffice ---
+    // --- global level: FIFO queue L of nodes with K_u ≤ 0; a node is in L
+    // at most once (inL) ---
     val inL = new Array[Boolean](n)
-    val ring = new Array[Int](n)
-    var head = 0
-    var size = 0
-    if (eligible(s)) { inL(s) = true; ring(0) = s; size = 1 }
+    val list = new IntFifo
+    if (eligible(s)) { inL(s) = true; list.reserve(1); list.add(s) }
 
     val switchAt = scanSwitchFrac.fold(Double.PositiveInfinity)(_ * g.directedEdgeCount)
     var switched = false
 
-    while (size > 0 && !switched) {
-      val x = ring(head)
-      head = if (head + 1 == n) 0 else head + 1
-      size -= 1
+    while (!list.isEmpty && !switched) {
+      val x = list.poll()
       inL(x) = false
       // Drain x: pushing along x's best edge only raises that edge's key,
       // so repeated find-min pushes stay correct until K_x > 0.
       var go = eligible(x)
-      if (go && state(x) != Built) build(x)
-      while (go) {
-        val lo = g.indptr(x)
-        val eTop = heap(lo)
-        val v = g.nbr(eTop)
-        val y = (1 - alpha) * q(x) * g.wgt(eTop) / g.deg(x) - expense(eTop)
-        // y ≥ θ(eTop) by eligibility; guard against FP fuzz anyway.
-        if (y > 0) {
-          expense(eTop) += y
-          q(v) += y
-          pushOps += 1
-          touches += 1
+      if (go) {
+        if (state(x) != Built) build(x)
+        // Only build moves the arena, so these stay valid for the drain.
+        val keys = hKey
+        val edges = hEdge
+        val lo = off(x)
+        val hi = lo + g.nbrCount(x)
+        list.reserve(hi - lo) // a drain enqueues each neighbour at most once
+        while (go) {
+          val eTop = edges(lo)
+          val v = g.nbr(eTop)
+          val y = (1 - alpha) * q(x) * g.wgt(eTop) / g.deg(x) - expense(eTop)
+          // y ≥ θ(eTop) by eligibility; guard against FP fuzz anyway.
+          if (y > 0) {
+            expense(eTop) += y
+            q(v) += y
+            pushOps += 1
+            touches += 1
+          }
+          // increase-key of eTop, then re-check the two affected nodes.
+          keys(lo) = (expense(eTop) + theta(eTop)) / g.wgt(eTop)
+          siftDown(keys, edges, lo, hi, lo)
+          minKey(x) = keys(lo)
+          if (!inL(v) && eligible(v)) { inL(v) = true; list.add(v) }
+          go = eligible(x)
         }
-        // increase-key of eTop, then re-check the two affected nodes.
-        key(eTop) = (expense(eTop) + theta(eTop)) / g.wgt(eTop)
-        siftDown(lo, g.indptr(x + 1), lo)
-        if (!inL(v) && eligible(v)) {
-          inL(v) = true
-          val tail = head + size
-          ring(if (tail >= n) tail - n else tail) = v
-          size += 1
-        }
-        go = eligible(x)
       }
       if (pushOps > switchAt) switched = true
     }

@@ -30,16 +30,16 @@ object LocalPushSeq {
     val r = new Array[Double](g.n)
     val pi = new Array[Double](g.n)
     val inQ = new Array[Boolean](g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
+    val queue = new IntFifo
     r(s) = 1.0
     var pushOps = 0L
     var touches = 0L
 
     def eligible(u: Int): Boolean = g.deg(u) > 0 && r(u) >= g.deg(u) * theta
 
-    if (eligible(s)) { queue.add(s); inQ(s) = true }
+    if (eligible(s)) { queue.reserve(1); queue.add(s); inQ(s) = true }
     while (!queue.isEmpty) {
-      val u: Int = queue.poll()
+      val u = queue.poll()
       inQ(u) = false
       if (eligible(u)) {
         val ru = r(u)
@@ -47,6 +47,7 @@ object LocalPushSeq {
         r(u) = 0.0
         val scale = (1 - alpha) * ru / g.deg(u)
         var e = g.indptr(u)
+        queue.reserve(g.indptr(u + 1) - e)
         while (e < g.indptr(u + 1)) {
           val v = g.nbr(e)
           r(v) += scale * g.wgt(e)

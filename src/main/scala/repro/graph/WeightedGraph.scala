@@ -124,13 +124,14 @@ final class WeightedGraph(
 object WeightedGraph {
 
   /** Build a CSR graph from undirected edges (u, v, w). Each pair must
-    * appear at most once (in either orientation); self-loops and
-    * non-positive weights are rejected. Isolated ids up to `n-1` are kept.
+    * appear at most once (in either orientation); self-loops and weights
+    * that are not finite and positive (≤ 0, ∞, NaN) are rejected. Isolated
+    * ids up to `n-1` are kept.
     */
   def fromUndirectedEdges(n: Int, edges: Seq[(Int, Int, Double)]): WeightedGraph = {
     edges.foreach { case (u, v, w) =>
       require(u != v, s"self-loop at $u")
-      require(w > 0, s"non-positive weight $w on ($u,$v)")
+      require(w > 0 && w < Double.PositiveInfinity, s"weight $w on ($u,$v) is not finite and positive")
       require(u >= 0 && u < n && v >= 0 && v < n, s"node id out of range: ($u,$v)")
     }
     val degCnt = new Array[Int](n)

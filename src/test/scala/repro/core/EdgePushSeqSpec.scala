@@ -2,7 +2,6 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestUtil
-import repro.graph.WeightedGraph
 import repro.graphgen.{Affinity, GraphGen}
 import repro.metrics.Errors
 
@@ -176,25 +175,6 @@ class EdgePushSeqSpec extends AnyFunSuite {
     assert(res.pushOps <= bound, s"pushes=${res.pushOps} bound=$bound")
   }
 
-  /** The graph with one more node, which has no edges. */
-  private def withIsolatedNode(g: WeightedGraph): WeightedGraph =
-    WeightedGraph.fromUndirectedEdges(g.n + 1, GraphGen.undirectedEdges(g))
-
-  /** FNV-1a over the exact bits of every entry, so two vectors that differ
-    * in a single ulp anywhere get different digests.
-    */
-  private def bitsDigest(pi: Array[Double]): Long =
-    pi.foldLeft(0xcbf29ce484222325L)((h, x) =>
-      (h ^ java.lang.Double.doubleToLongBits(x)) * 0x100000001b3L)
-
-  private lazy val goldenGraphs: Map[String, WeightedGraph] = Map(
-    "star" -> withIsolatedNode(GraphGen.unbalancedStar(300)),
-    "complete" -> withIsolatedNode(GraphGen.unbalancedComplete(80)),
-    "affinity" -> withIsolatedNode(Affinity.graph(200, Affinity.paperConfigs(0), seed = 17)),
-    "chunglu" -> withIsolatedNode(
-      GraphGen.withParetoWeights(GraphGen.chungLu(2000, 8, 2.3), 1.1)),
-  )
-
   /** (graph, thresholds, scanSwitchFrac, source, pushOps, edgeTouches,
     * digest of π̂), recorded from the kernel that built every node's heap
     * at the start of each query. The last source of each graph is its
@@ -278,17 +258,17 @@ class EdgePushSeqSpec extends AnyFunSuite {
 
   for (graph <- Seq("star", "complete", "affinity", "chunglu"); kind <- Seq("l1", "rmax"))
     test(s"golden: $graph graph, $kind thresholds: push counts and π̂ bits unchanged") {
-      val g = goldenGraphs(graph)
+      val g = Goldens.graphs(graph)
       val theta = if (kind == "l1") Thresholds.l1(g, 1e-4) else Thresholds.rmax(g, 1e-5)
       for ((_, _, mode, s, ops, touches, digest) <- golden.filter(r => r._1 == graph && r._2 == kind)) {
         val res = EdgePushSeq.compute(g, s, alpha, theta, mode)
-        assert((res.pushOps, res.edgeTouches, bitsDigest(res.pi)) == ((ops, touches, digest)),
+        assert((res.pushOps, res.edgeTouches, Goldens.bitsDigest(res.pi)) == ((ops, touches, digest)),
           s"source $s, scanSwitchFrac $mode")
       }
     }
 
   test("certificate: R_e < θ_e on every edge and mass conserved, with nodes reached but never drained") {
-    val g = goldenGraphs("chunglu")
+    val g = Goldens.graphs("chunglu")
     val theta = Thresholds.rmax(g, 1e-5)
     val isolated = (0 until g.n).find(g.deg(_) == 0).get
     for (s <- g.sampleSourcesByDegree(3, 11).toSeq :+ isolated) {
@@ -308,8 +288,29 @@ class EdgePushSeqSpec extends AnyFunSuite {
     assert(reachedUndrained > 0)
   }
 
+  test("certificate and golden row hold when the heap arena relocates mid-query") {
+    // Source 1 is the star's v1: one edge to the hub, one pendant edge. Its
+    // two-slot segment is built first; the hub's segment then exceeds the
+    // arena's initial capacity, and the arena moves with v1's heap in it.
+    val g = Goldens.graphs("star")
+    val hub = 0
+    val v1Edges = g.indptr(1) until g.indptr(2)
+    assert(v1Edges.size == 2 && v1Edges.exists(g.nbr(_) == hub))
+    assert(g.nbrCount(hub) > EdgePushSeq.InitialArena)
+    val theta = Thresholds.l1(g, 1e-4)
+    val (res, q, expense) = EdgePushSeq.run(g, 1, alpha, theta)
+    assert(v1Edges.exists(expense(_) > 0) && (g.indptr(hub) until g.indptr(hub + 1)).exists(expense(_) > 0))
+    val (pi, residues) = EdgePushSeq.computeWithResidues(g, 1, alpha, theta)
+    residues.indices.foreach(e =>
+      assert(residues(e) < theta(e) + 1e-15, s"edge $e: R_e=${residues(e)} θ_e=${theta(e)}"))
+    val kept = (0 until g.n).filter(g.deg(_) == 0).map(u => (1 - alpha) * q(u)).sum
+    TestUtil.assertClose(pi.sum + residues.sum + kept, 1.0, 1e-9, "mass")
+    val row = golden.find(r => r._1 == "star" && r._2 == "l1" && r._3.isEmpty && r._4 == 1).get
+    assert((res.pushOps, res.edgeTouches, Goldens.bitsDigest(res.pi)) == ((row._5, row._6, row._7)))
+  }
+
   test("queries are isolated: A, B, A across modes gives identical A results") {
-    val g = goldenGraphs("chunglu")
+    val g = Goldens.graphs("chunglu")
     val theta = Thresholds.rmax(g, 1e-5)
     val Array(a, b) = g.sampleSourcesByDegree(2, 12)
     for (mode <- Seq(None, Some(0.0), Some(1.0))) {
@@ -323,7 +324,7 @@ class EdgePushSeqSpec extends AnyFunSuite {
   }
 
   test("run keeps the (PprResult, q, expense) shape that callers destructure") {
-    val g = goldenGraphs("chunglu")
+    val g = Goldens.graphs("chunglu")
     val s = g.sampleSourcesByDegree(1, 13)(0)
     val (res, q, expense): (PprResult, Array[Double], Array[Double]) =
       EdgePushSeq.run(g, s, alpha, Thresholds.rmax(g, 1e-5), Some(1.0))

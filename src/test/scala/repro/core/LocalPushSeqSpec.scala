@@ -102,4 +102,48 @@ class LocalPushSeqSpec extends AnyFunSuite {
     assert(w2 > w1)
     assert(w2 < 300L * w1, "work should not blow up faster than 1/theta by orders")
   }
+
+  /** (graph, thresholds, source, pushOps, edgeTouches, digest of π̂, digest
+    * of the terminal residues r, which FORA's walk phase reads), recorded
+    * from the kernel that queued nodes in a boxed `ArrayDeque`. The last
+    * source of each graph is its isolated node. Thresholds: `l1` is
+    * Thresholds.localPushL1Theta(g, 1e-4), `rmax` is θ = 1e-5.
+    */
+  private val golden: Seq[(String, String, Int, Long, Long, Long, Long)] = Seq(
+    ("star", "l1", 0, 6623L, 13499L, 0x5a79e3169980e69aL, 0x8ded106fa8ae01c5L),
+    ("star", "l1", 1, 6623L, 13202L, 0xb1ffb76920baf04fL, 0x3731a55daef05990L),
+    ("star", "l1", 301, 0L, 0L, 0x6228503421075d5dL, 0x4fb8503421075d5dL),
+    ("star", "rmax", 0, 7225L, 14699L, 0x66cb40adc5878729L, 0x3e319a455760cccbL),
+    ("star", "rmax", 1, 7225L, 14402L, 0x9af9cd7fe3b84139L, 0x36577d8e1219ddf4L),
+    ("star", "rmax", 301, 0L, 0L, 0x6228503421075d5dL, 0x4fb8503421075d5dL),
+    ("complete", "l1", 0, 1749L, 138171L, 0x43a448ad7c588a06L, 0x91ea447828a266aaL),
+    ("complete", "l1", 58, 1786L, 141094L, 0xf92a8e1942887958L, 0x040f46d939ec6326L),
+    ("complete", "l1", 80, 0L, 0L, 0x0edbe9edbe9a769fL, 0x542be9edbe9a769fL),
+    ("complete", "rmax", 0, 1129L, 89191L, 0x70e1b2d4eaf3f1dfL, 0xbbea3e2155a0d973L),
+    ("complete", "rmax", 58, 1168L, 92272L, 0x4f171bc3088bfba6L, 0x312a3fdba029e5ceL),
+    ("complete", "rmax", 80, 0L, 0L, 0x0edbe9edbe9a769fL, 0x542be9edbe9a769fL),
+    ("affinity", "l1", 0, 4424L, 880376L, 0xec98f2a5e14b566fL, 0xa66b52efdf0d11dcL),
+    ("affinity", "l1", 147, 4484L, 892316L, 0xeeb3e3fc5da86a87L, 0x06e2d6942087451eL),
+    ("affinity", "l1", 200, 0L, 0L, 0x9eefbe53f53426bfL, 0x59bfbe53f53426bfL),
+    ("affinity", "rmax", 0, 1030L, 204970L, 0x540dfcaa52522797L, 0x784ccbbd14d70ddaL),
+    ("affinity", "rmax", 147, 1121L, 223079L, 0x43b11642252e022aL, 0xa5bfd60a80c67252L),
+    ("affinity", "rmax", 200, 0L, 0L, 0x9eefbe53f53426bfL, 0x59bfbe53f53426bfL),
+    ("chunglu", "l1", 0, 43528L, 360110L, 0x7a666e6382530d80L, 0xb220dfef24631afcL),
+    ("chunglu", "l1", 735, 42436L, 350987L, 0xfb5ea2393a3ba59aL, 0xbb8530644dbc3f90L),
+    ("chunglu", "l1", 2000, 0L, 0L, 0x3b2ea13140ff989fL, 0xd3dea13140ff989fL),
+    ("chunglu", "rmax", 0, 2287L, 21709L, 0xa814a4f16390ca09L, 0xd769590f13ba59daL),
+    ("chunglu", "rmax", 735, 713L, 7415L, 0xa10754f1db62b2f1L, 0x055c89afd441c36bL),
+    ("chunglu", "rmax", 2000, 0L, 0L, 0x3b2ea13140ff989fL, 0xd3dea13140ff989fL)
+  )
+
+  for (graph <- Seq("star", "complete", "affinity", "chunglu"); kind <- Seq("l1", "rmax"))
+    test(s"golden: $graph graph, $kind threshold: push counts, π̂ and r bits unchanged") {
+      val g = Goldens.graphs(graph)
+      val theta = if (kind == "l1") Thresholds.localPushL1Theta(g, 1e-4) else 1e-5
+      for ((_, _, s, ops, touches, piDigest, rDigest) <- golden.filter(r => r._1 == graph && r._2 == kind)) {
+        val (res, r) = LocalPushSeq.run(g, s, alpha, theta)
+        assert((res.pushOps, res.edgeTouches, Goldens.bitsDigest(res.pi), Goldens.bitsDigest(r)) ==
+          ((ops, touches, piDigest, rDigest)), s"source $s")
+      }
+    }
 }

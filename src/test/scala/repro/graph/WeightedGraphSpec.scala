@@ -89,6 +89,13 @@ class WeightedGraphSpec extends SparkSpec {
     }
   }
 
+  test("non-finite weights are rejected") {
+    for (w <- Seq(Double.PositiveInfinity, Double.NaN))
+      intercept[IllegalArgumentException] {
+        WeightedGraph.fromUndirectedEdges(3, Seq((0, 1, 1.0), (1, 2, w)))
+      }
+  }
+
   test("out-of-range node ids are rejected") {
     intercept[IllegalArgumentException] {
       WeightedGraph.fromUndirectedEdges(3, Seq((0, 3, 1.0)))
