@@ -54,21 +54,23 @@ object EdgePushSeq {
     * lo + i are lo + 2i + 1 and lo + 2i + 2.
     */
   private def siftDown(keys: Array[Double], edges: Array[Int], lo: Int, hi: Int, p0: Int): Unit = {
+    // Hole-based: the entry at p0 is held aside while smaller children move
+    // up into the hole. A child moves only if strictly smaller, and the
+    // right child is chosen only if strictly smaller than the left, which
+    // gives the same result as swapping.
+    val k = keys(p0)
+    val e = edges(p0)
     var p = p0
-    var continue = true
-    while (continue) {
-      val left = lo + 2 * (p - lo) + 1
-      val right = left + 1
-      var smallest = p
-      if (left < hi && keys(left) < keys(smallest)) smallest = left
-      if (right < hi && keys(right) < keys(smallest)) smallest = right
-      if (smallest == p) continue = false
-      else {
-        val k = keys(p); keys(p) = keys(smallest); keys(smallest) = k
-        val e = edges(p); edges(p) = edges(smallest); edges(smallest) = e
-        p = smallest
-      }
+    var child = lo + 2 * (p - lo) + 1
+    while (child < hi) {
+      if (child + 1 < hi && keys(child + 1) < keys(child)) child += 1
+      if (keys(child) < k) {
+        keys(p) = keys(child); edges(p) = edges(child)
+        p = child
+        child = lo + 2 * (p - lo) + 1
+      } else child = hi
     }
+    keys(p) = k; edges(p) = e
   }
 
   /** Run EdgePush with per-directed-edge thresholds `theta` (use
@@ -175,10 +177,14 @@ object EdgePushSeq {
         val lo = off(x)
         val hi = lo + g.nbrCount(x)
         list.reserve(hi - lo) // a drain enqueues each neighbour at most once
+        // q(x) is fixed while x drains (no self-loops), so is its level T.
+        val a = (1 - alpha) * q(x)
+        val d = g.deg(x)
+        val level = a / d
         while (go) {
           val eTop = edges(lo)
           val v = g.nbr(eTop)
-          val y = (1 - alpha) * q(x) * g.wgt(eTop) / g.deg(x) - expense(eTop)
+          val y = a * g.wgt(eTop) / d - expense(eTop)
           // y ≥ θ(eTop) by eligibility; guard against FP fuzz anyway.
           if (y > 0) {
             expense(eTop) += y
@@ -191,7 +197,7 @@ object EdgePushSeq {
           siftDown(keys, edges, lo, hi, lo)
           minKey(x) = keys(lo)
           if (!inL(v) && eligible(v)) { inL(v) = true; list.add(v) }
-          go = eligible(x)
+          go = level >= keys(lo)
         }
       }
       if (pushOps > switchAt) switched = true
