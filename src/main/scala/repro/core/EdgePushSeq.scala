@@ -15,9 +15,14 @@ import repro.graph.WeightedGraph
   *    u's best edge is in C).
   *
   * The paper gets O(1) amortized per edge push with Thorup's word-RAM
-  * priority queue (Fact 3); we use array-embedded binary heaps — O(log d)
-  * per increase-key — which changes constants only, never the *number* of
-  * edge pushes that Lemma 3 bounds.
+  * priority queue (Fact 3); we use array-embedded binary heaps, which
+  * changes constants only, never the *number* of edge pushes that Lemma 3
+  * bounds. A node u drains in one pass: its level T = (1−α)q(u)/d(u) is
+  * fixed while it drains (no self-loops), and a push lifts its edge's key
+  * above T, so a drain pushes exactly {e ∈ E(u) : k_e ≤ T}, each once. That
+  * set is top-closed in the heap; it is collected level by level from the
+  * root, pushed in that order, and the heap is restored by sift-downs over
+  * the collected positions, deepest first.
   *
   * Heaps are built lazily, in a per-query arena, so a query's cost follows
   * the nodes it reaches rather than 2m. Per query it is a zeroed O(n)
@@ -25,9 +30,10 @@ import repro.graph.WeightedGraph
   * Q (no per-edge loop), plus one O(n(u)) scan for min_e θ_e/A_e when node
   * u first receives income, plus O(n(u)) arena space, fill and heapify when
   * u is first drained, i.e. O(Σ n(u)) over drained nodes with the arena's
-  * doubling copies, plus O(log n(u)) per push. A node's keys change only
-  * while it drains, so a heap built late equals one built at the start:
-  * push order, counts and π̂ are the same.
+  * doubling copies, plus, per drain that pushes k edges, O(k) to collect
+  * them and one bottom-up restore over those k positions. A node's keys
+  * change only while it drains, so a heap built late equals one built at
+  * the start: push order, counts and π̂ are the same.
   *
   * An optional scan mode mirrors the §6.2 PowForPush-style switch: once
   * the number of edge pushes exceeds `scanSwitchFrac·2m` (i.e. we have
@@ -87,7 +93,16 @@ object EdgePushSeq {
 
   /** Full run exposing the terminal state (result, q, edge expense Q). */
   def run(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
-          scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) = {
+          scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) =
+    run(g, s, alpha, theta, scanSwitchFrac, null)
+
+  /** As `run`; if `onDrain` is not null, `onDrain(x, q, Q)` is called with
+    * the live state as each drain of a node x begins, before its pushes.
+    */
+  private[core] def run(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
+                        scanSwitchFrac: Option[Double],
+                        onDrain: (Int, Array[Double], Array[Double]) => Unit)
+      : (PprResult, Array[Double], Array[Double]) = {
     require(theta.length == g.directedEdgeCount)
     val t0 = System.nanoTime()
     val n = g.n
@@ -158,6 +173,8 @@ object EdgePushSeq {
     // at most once (inL) ---
     val inL = new Array[Boolean](n)
     val list = new IntFifo
+    // heap positions collected by a drain; grown to the largest n(x) drained
+    var pos = new Array[Int](InitialArena)
     if (eligible(s)) { inL(s) = true; list.reserve(1); list.add(s) }
 
     val switchAt = scanSwitchFrac.fold(Double.PositiveInfinity)(_ * g.directedEdgeCount)
@@ -166,8 +183,7 @@ object EdgePushSeq {
     while (!list.isEmpty && !switched) {
       val x = list.poll()
       inL(x) = false
-      // Drain x: pushing along x's best edge only raises that edge's key,
-      // so repeated find-min pushes stay correct until K_x > 0.
+      // Drain x: push each edge with key ≤ T once, in one pass (see above).
       var go = eligible(x)
       if (go) {
         if (state(x) != Built) build(x)
@@ -177,26 +193,47 @@ object EdgePushSeq {
         val lo = off(x)
         val hi = lo + g.nbrCount(x)
         list.reserve(hi - lo) // a drain enqueues each neighbour at most once
-        // q(x) is fixed while x drains (no self-loops), so is its level T.
+        if (hi - lo > pos.length) pos = new Array[Int](math.max(hi - lo, 2 * pos.length))
+        if (onDrain != null) onDrain(x, q, expense)
         val a = (1 - alpha) * q(x)
         val d = g.deg(x)
         val level = a / d
+        // One pass normally suffices; the re-check guards against FP fuzz.
         while (go) {
-          val eTop = edges(lo)
-          val v = g.nbr(eTop)
-          val y = a * g.wgt(eTop) / d - expense(eTop)
-          // y ≥ θ(eTop) by eligibility; guard against FP fuzz anyway.
-          if (y > 0) {
-            expense(eTop) += y
-            q(v) += y
-            pushOps += 1
-            touches += 1
+          // Collect the positions with key ≤ T level by level from the root.
+          // The set is top-closed, so the walk takes every position it
+          // reaches through a taken parent, and pos(0 until k) ascends.
+          pos(0) = lo
+          var k = 1
+          var i = 0
+          while (i < k) {
+            val c = lo + 2 * (pos(i) - lo) + 1
+            if (c < hi && keys(c) <= level) { pos(k) = c; k += 1 }
+            if (c + 1 < hi && keys(c + 1) <= level) { pos(k) = c + 1; k += 1 }
+            i += 1
           }
-          // increase-key of eTop, then re-check the two affected nodes.
-          keys(lo) = (expense(eTop) + theta(eTop)) / g.wgt(eTop)
-          siftDown(keys, edges, lo, hi, lo)
+          i = 0
+          while (i < k) {
+            val p = pos(i)
+            val e = edges(p)
+            val v = g.nbr(e)
+            val y = a * g.wgt(e) / d - expense(e)
+            // y ≥ θ_e since key_e ≤ T; guard against FP fuzz anyway.
+            if (y > 0) {
+              expense(e) += y
+              q(v) += y
+              pushOps += 1
+              touches += 1
+            }
+            keys(p) = (expense(e) + theta(e)) / g.wgt(e)
+            if (!inL(v) && eligible(v)) { inL(v) = true; list.add(v) }
+            i += 1
+          }
+          // Restore the heap bottom-up over the collected positions: Floyd's
+          // heapify restricted to the subtree they form.
+          i = k - 1
+          while (i >= 0) { siftDown(keys, edges, lo, hi, pos(i)); i -= 1 }
           minKey(x) = keys(lo)
-          if (!inL(v) && eligible(v)) { inL(v) = true; list.add(v) }
           go = level >= keys(lo)
         }
       }
