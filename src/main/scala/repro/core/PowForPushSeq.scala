@@ -21,7 +21,7 @@ object PowForPushSeq {
     val r = new Array[Double](g.n)
     val pi = new Array[Double](g.n)
     val inQ = new Array[Boolean](g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
+    val queue = new IntFifo
     r(s) = 1.0
     var pushOps = 0L
     var touches = 0L
@@ -36,6 +36,7 @@ object PowForPushSeq {
       r(u) = 0.0
       val scale = (1 - alpha) * ru / g.deg(u)
       var e = g.indptr(u)
+      if (enqueue) queue.reserve(g.indptr(u + 1) - e)
       while (e < g.indptr(u + 1)) {
         val v = g.nbr(e)
         r(v) += scale * g.wgt(e)
@@ -46,12 +47,12 @@ object PowForPushSeq {
       pushOps += 1
     }
 
-    if (eligible(s)) { queue.add(s); inQ(s) = true }
+    if (eligible(s)) { queue.reserve(1); queue.add(s); inQ(s) = true }
     while (!queue.isEmpty && !switched) {
-      val u: Int = queue.poll()
+      val u = queue.poll()
       inQ(u) = false
       if (eligible(u)) pushNode(u, enqueue = true)
-      if (queue.size() > switchAt) switched = true
+      if (queue.size > switchAt) switched = true
     }
 
     if (switched) {
