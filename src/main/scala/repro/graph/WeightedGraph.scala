@@ -123,10 +123,10 @@ final class WeightedGraph(
 
 object WeightedGraph {
 
-  /** Build a CSR graph from undirected edges (u, v, w). Each pair must
-    * appear at most once (in either orientation); self-loops and weights
-    * that are not finite and positive (≤ 0, ∞, NaN) are rejected. Isolated
-    * ids up to `n-1` are kept.
+  /** Build a CSR graph from undirected edges (u, v, w). A pair that
+    * appears twice (in either orientation), self-loops and weights that are
+    * not finite and positive (≤ 0, ∞, NaN) are rejected. Isolated ids up to
+    * `n-1` are kept.
     */
   def fromUndirectedEdges(n: Int, edges: Seq[(Int, Int, Double)]): WeightedGraph = {
     edges.foreach { case (u, v, w) =>
@@ -145,6 +145,20 @@ object WeightedGraph {
     edges.foreach { case (a, b, w) =>
       nbr(fill(a)) = b; wgt(fill(a)) = w; fill(a) += 1
       nbr(fill(b)) = a; wgt(fill(b)) = w; fill(b) += 1
+    }
+    // A repeated pair puts v twice in u's row, whichever its orientation.
+    // mark(v) == u + 1 once v has been seen in u's row.
+    val mark = new Array[Int](n)
+    u = 0
+    while (u < n) {
+      var e = indptr(u)
+      while (e < indptr(u + 1)) {
+        val v = nbr(e)
+        require(mark(v) != u + 1, s"pair ($u,$v) appears more than once")
+        mark(v) = u + 1
+        e += 1
+      }
+      u += 1
     }
     new WeightedGraph(n, indptr, nbr, wgt)
   }

@@ -96,6 +96,20 @@ class WeightedGraphSpec extends SparkSpec {
       }
   }
 
+  test("a pair repeated in the same orientation is rejected") {
+    val e = intercept[IllegalArgumentException] {
+      WeightedGraph.fromUndirectedEdges(4, Seq((0, 1, 1.0), (1, 2, 1.0), (0, 1, 2.0)))
+    }
+    assert(e.getMessage.contains("(0,1)"))
+  }
+
+  test("a pair repeated in the opposite orientation is rejected") {
+    val e = intercept[IllegalArgumentException] {
+      WeightedGraph.fromUndirectedEdges(4, Seq((2, 3, 1.0), (0, 1, 1.0), (3, 2, 1.0)))
+    }
+    assert(e.getMessage.contains("(2,3)"))
+  }
+
   test("out-of-range node ids are rejected") {
     intercept[IllegalArgumentException] {
       WeightedGraph.fromUndirectedEdges(3, Seq((0, 3, 1.0)))
