@@ -23,7 +23,7 @@ object SpeedPprSeq {
     val r = new Array[Double](g.n)
     val pi = new Array[Double](g.n)
     val inQ = new Array[Boolean](g.n)
-    val queue = new IntFifo
+    val queue = new java.util.ArrayDeque[Integer]()
     r(s) = 1.0
     var pushOps = 0L
     var touches = 0L
@@ -48,14 +48,12 @@ object SpeedPprSeq {
       pushOps += 1
     }
 
-    if (eligible(s)) { queue.reserve(1); queue.add(s); inQ(s) = true }
+    if (eligible(s)) { queue.add(s); inQ(s) = true }
     while (!queue.isEmpty && !switched) {
-      val u = queue.poll()
+      val u: Int = queue.poll()
       inQ(u) = false
-      // Room for the push's enqueues is made here, not in pushNode, which the
-      // scan phase shares (see PowForPushSeq).
-      if (eligible(u)) { queue.reserve(g.nbrCount(u)); pushNode(u, enqueue = true) }
-      if (queue.size > switchAt) switched = true
+      if (eligible(u)) pushNode(u, enqueue = true)
+      if (queue.size() > switchAt) switched = true
     }
     if (switched) {
       var anyPush = true
