@@ -201,8 +201,8 @@ object EdgePushSeq {
         // One pass normally suffices; the re-check guards against FP fuzz.
         while (go) {
           // Collect the positions with key ≤ T level by level from the root.
-          // The set is top-closed, so the walk takes every position it
-          // reaches through a taken parent, and pos(0 until k) ascends.
+          // The set is top-closed, so expanding only taken positions finds
+          // all of it; pos(0 until k) ascends.
           pos(0) = lo
           var k = 1
           var i = 0
