@@ -23,7 +23,7 @@ object SpeedPprSeq {
     val r = new Array[Double](g.n)
     val pi = new Array[Double](g.n)
     val inQ = new Array[Boolean](g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
+    val queue = new IntFifo
     r(s) = 1.0
     var pushOps = 0L
     var touches = 0L
@@ -32,28 +32,33 @@ object SpeedPprSeq {
 
     def eligible(u: Int): Boolean = g.deg(u) > 0 && r(u) >= g.deg(u) * theta
 
-    def pushNode(u: Int, enqueue: Boolean): Unit = {
+    // Separate queue-phase and scan-phase edge loops, as in PowForPushSeq.
+    /** Push u's residue to all its neighbours; returns the push's scale. */
+    def settle(u: Int): Double = {
       val ru = r(u)
       pi(u) += alpha * ru
       r(u) = 0.0
-      val scale = (1 - alpha) * ru / g.deg(u)
-      var e = g.indptr(u)
-      while (e < g.indptr(u + 1)) {
-        val v = g.nbr(e)
-        r(v) += scale * g.wgt(e)
-        touches += 1
-        if (enqueue && !inQ(v) && eligible(v)) { queue.add(v); inQ(v) = true }
-        e += 1
-      }
       pushOps += 1
+      touches += g.nbrCount(u)
+      (1 - alpha) * ru / g.deg(u)
     }
 
-    if (eligible(s)) { queue.add(s); inQ(s) = true }
+    if (eligible(s)) { queue.reserve(1); queue.add(s); inQ(s) = true }
     while (!queue.isEmpty && !switched) {
-      val u: Int = queue.poll()
+      val u = queue.poll()
       inQ(u) = false
-      if (eligible(u)) pushNode(u, enqueue = true)
-      if (queue.size() > switchAt) switched = true
+      if (eligible(u)) {
+        val scale = settle(u)
+        var e = g.indptr(u)
+        queue.reserve(g.indptr(u + 1) - e)
+        while (e < g.indptr(u + 1)) {
+          val v = g.nbr(e)
+          r(v) += scale * g.wgt(e)
+          if (!inQ(v) && eligible(v)) { queue.add(v); inQ(v) = true }
+          e += 1
+        }
+      }
+      if (queue.size > switchAt) switched = true
     }
     if (switched) {
       var anyPush = true
@@ -62,7 +67,12 @@ object SpeedPprSeq {
         var u = 0
         while (u < g.n) {
           touches += 1
-          if (eligible(u)) { pushNode(u, enqueue = false); anyPush = true }
+          if (eligible(u)) {
+            val scale = settle(u)
+            var e = g.indptr(u)
+            while (e < g.indptr(u + 1)) { r(g.nbr(e)) += scale * g.wgt(e); e += 1 }
+            anyPush = true
+          }
           u += 1
         }
       }
