@@ -21,8 +21,11 @@ import repro.graph.WeightedGraph
   * fixed while it drains (no self-loops), and a push lifts its edge's key
   * above T, so a drain pushes exactly {e ∈ E(u) : k_e ≤ T}, each once. That
   * set is top-closed in the heap; it is collected level by level from the
-  * root, pushed in that order, and the heap is restored by sift-downs over
-  * the collected positions, deepest first.
+  * root and pushed, and the heap is restored by sift-downs over the
+  * collected positions, deepest first. The neighbours a drain makes
+  * eligible join L in the order one find-min per push would have pushed
+  * their edges (by key, equal keys in heap preorder), so the schedule
+  * stays close to that of a per-push drain.
   *
   * Heaps are built lazily, in a per-query arena, so a query's cost follows
   * the nodes it reaches rather than 2m. Per query it is a zeroed O(n)
@@ -30,8 +33,9 @@ import repro.graph.WeightedGraph
   * Q (no per-edge loop), plus one O(n(u)) scan for min_e θ_e/A_e when node
   * u first receives income, plus O(n(u)) arena space, fill and heapify when
   * u is first drained, i.e. O(Σ n(u)) over drained nodes with the arena's
-  * doubling copies, plus, per drain that pushes k edges, O(k) to collect
-  * them and one bottom-up restore over those k positions. A node's keys
+  * doubling copies, plus, per drain that pushes k edges and makes j
+  * neighbours eligible, O(k) to collect them, one bottom-up restore over
+  * those k positions and O(j log j) to order the j neighbours. A node's keys
   * change only while it drains, so a heap built late equals one built at
   * the start: push order, counts and π̂ are the same.
   *
@@ -59,7 +63,7 @@ object EdgePushSeq {
     * [lo, hi) of the arena (keys, edges), where the children of position
     * lo + i are lo + 2i + 1 and lo + 2i + 2.
     */
-  private def siftDown(keys: Array[Double], edges: Array[Int], lo: Int, hi: Int, p0: Int): Unit = {
+  private[core] def siftDown(keys: Array[Double], edges: Array[Int], lo: Int, hi: Int, p0: Int): Unit = {
     // Hole-based: the entry at p0 is held aside while smaller children move
     // up into the hole. A child moves only if strictly smaller, and the
     // right child is chosen only if strictly smaller than the left, which
@@ -79,6 +83,49 @@ object EdgePushSeq {
     keys(p) = k; edges(p) = e
   }
 
+  // A drain queues the neighbours it makes eligible in a binary min-heap
+  // front(0 until size) of 1-based indices j into the node's heap segment
+  // (the edge at position lo + j − 1), ordered by the edges' keys before the
+  // drain, key(j), equal keys in heap preorder: the order in which popping
+  // the root, raising its key and sifting it down (left on ties) takes them.
+  private def before(key: Array[Double], i: Int, j: Int): Boolean =
+    key(i) < key(j) || (key(i) == key(j) && preorderBefore(i, j))
+
+  /** Whether 1-based heap index i comes before j in preorder: a node before
+    * its subtrees, a left subtree before the right one.
+    */
+  private def preorderBefore(i: Int, j: Int): Boolean = {
+    val di = 31 - Integer.numberOfLeadingZeros(i)
+    val dj = 31 - Integer.numberOfLeadingZeros(j)
+    // Lift the deeper index to the other's depth; an ancestor comes first.
+    if (di <= dj) i <= (j >> (dj - di)) else (i >> (di - dj)) < j
+  }
+
+  /** Put j at the root of the heap front(0 until size) and sift it down. */
+  private[core] def frontDown(key: Array[Double], front: Array[Int], size: Int, j: Int): Unit = {
+    var i = 0
+    var child = 1
+    while (child < size) {
+      if (child + 1 < size && before(key, front(child + 1), front(child))) child += 1
+      if (before(key, front(child), j)) {
+        front(i) = front(child)
+        i = child
+        child = 2 * i + 1
+      } else child = size
+    }
+    front(i) = j
+  }
+
+  /** Add j to the heap front(0 until size) at slot size and sift it up. */
+  private[core] def frontUp(key: Array[Double], front: Array[Int], size: Int, j: Int): Unit = {
+    var i = size
+    while (i > 0 && before(key, j, front((i - 1) / 2))) {
+      front(i) = front((i - 1) / 2)
+      i = (i - 1) / 2
+    }
+    front(i) = j
+  }
+
   /** Run EdgePush with per-directed-edge thresholds `theta` (use
     * [[Thresholds.l1]] or [[Thresholds.rmax]]).
     *
@@ -94,14 +141,16 @@ object EdgePushSeq {
   /** Full run exposing the terminal state (result, q, edge expense Q). */
   def run(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
           scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) =
-    run(g, s, alpha, theta, scanSwitchFrac, null)
+    runProbed(g, s, alpha, theta, scanSwitchFrac, NoProbe)
 
-  /** As `run`; if `onDrain` is not null, `onDrain(x, q, Q)` is called with
-    * the live state as each drain of a node x begins, before its pushes.
+  private val NoProbe: (Int, Array[Double], Array[Double]) => Unit = (_, _, _) => ()
+
+  /** As `run`, calling `onDrain(x, q, Q)` with the live state as each drain
+    * of a node x begins, before its pushes.
     */
-  private[core] def run(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
-                        scanSwitchFrac: Option[Double],
-                        onDrain: (Int, Array[Double], Array[Double]) => Unit)
+  private[core] def runProbed(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
+                              scanSwitchFrac: Option[Double],
+                              onDrain: (Int, Array[Double], Array[Double]) => Unit)
       : (PprResult, Array[Double], Array[Double]) = {
     require(theta.length == g.directedEdgeCount)
     val t0 = System.nanoTime()
@@ -173,8 +222,12 @@ object EdgePushSeq {
     // at most once (inL) ---
     val inL = new Array[Boolean](n)
     val list = new IntFifo
-    // heap positions collected by a drain; grown to the largest n(x) drained
+    // A drain's collected heap positions, and the heap of the neighbours it
+    // makes eligible with their edges' keys before the drain (by 1-based
+    // segment index); grown to the largest n(x) drained.
     var pos = new Array[Int](InitialArena)
+    var front = new Array[Int](InitialArena)
+    var queuedKey = new Array[Double](InitialArena + 1)
     if (eligible(s)) { inL(s) = true; list.reserve(1); list.add(s) }
 
     val switchAt = scanSwitchFrac.fold(Double.PositiveInfinity)(_ * g.directedEdgeCount)
@@ -191,10 +244,15 @@ object EdgePushSeq {
         val keys = hKey
         val edges = hEdge
         val lo = off(x)
-        val hi = lo + g.nbrCount(x)
-        list.reserve(hi - lo) // a drain enqueues each neighbour at most once
-        if (hi - lo > pos.length) pos = new Array[Int](math.max(hi - lo, 2 * pos.length))
-        if (onDrain != null) onDrain(x, q, expense)
+        val len = g.nbrCount(x)
+        val hi = lo + len
+        list.reserve(len) // a drain enqueues each neighbour at most once
+        if (len > pos.length) {
+          pos = new Array[Int](math.max(len, 2 * pos.length))
+          front = new Array[Int](pos.length)
+          queuedKey = new Array[Double](pos.length + 1)
+        }
+        onDrain(x, q, expense)
         val a = (1 - alpha) * q(x)
         val d = g.deg(x)
         val level = a / d
@@ -212,6 +270,9 @@ object EdgePushSeq {
             if (c + 1 < hi && keys(c + 1) <= level) { pos(k) = c + 1; k += 1 }
             i += 1
           }
+          // Push them. The neighbours made eligible join L afterwards, in the
+          // order the per-push heap would have pushed their edges.
+          var f = 0
           i = 0
           while (i < k) {
             val p = pos(i)
@@ -225,9 +286,19 @@ object EdgePushSeq {
               pushOps += 1
               touches += 1
             }
+            if (!inL(v) && eligible(v)) {
+              inL(v) = true
+              queuedKey(p - lo + 1) = keys(p)
+              frontUp(queuedKey, front, f, p - lo + 1)
+              f += 1
+            }
             keys(p) = (expense(e) + theta(e)) / g.wgt(e)
-            if (!inL(v) && eligible(v)) { inL(v) = true; list.add(v) }
             i += 1
+          }
+          while (f > 0) {
+            list.add(g.nbr(edges(lo + front(0) - 1)))
+            f -= 1
+            if (f > 0) frontDown(queuedKey, front, f, front(f))
           }
           // Restore the heap bottom-up over the collected positions: Floyd's
           // heapify restricted to the subtree they form.
