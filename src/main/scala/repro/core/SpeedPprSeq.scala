@@ -32,32 +32,29 @@ object SpeedPprSeq {
 
     def eligible(u: Int): Boolean = g.deg(u) > 0 && r(u) >= g.deg(u) * theta
 
-    // Separate queue-phase and scan-phase edge loops, as in PowForPushSeq.
-    /** Push u's residue to all its neighbours; returns the push's scale. */
-    def settle(u: Int): Double = {
+    def pushNode(u: Int, enqueue: Boolean): Unit = {
       val ru = r(u)
       pi(u) += alpha * ru
       r(u) = 0.0
+      val scale = (1 - alpha) * ru / g.deg(u)
+      var e = g.indptr(u)
+      while (e < g.indptr(u + 1)) {
+        val v = g.nbr(e)
+        r(v) += scale * g.wgt(e)
+        touches += 1
+        if (enqueue && !inQ(v) && eligible(v)) { queue.add(v); inQ(v) = true }
+        e += 1
+      }
       pushOps += 1
-      touches += g.nbrCount(u)
-      (1 - alpha) * ru / g.deg(u)
     }
 
     if (eligible(s)) { queue.reserve(1); queue.add(s); inQ(s) = true }
     while (!queue.isEmpty && !switched) {
       val u = queue.poll()
       inQ(u) = false
-      if (eligible(u)) {
-        val scale = settle(u)
-        var e = g.indptr(u)
-        queue.reserve(g.indptr(u + 1) - e)
-        while (e < g.indptr(u + 1)) {
-          val v = g.nbr(e)
-          r(v) += scale * g.wgt(e)
-          if (!inQ(v) && eligible(v)) { queue.add(v); inQ(v) = true }
-          e += 1
-        }
-      }
+      // Room for the push's enqueues is made here, not in pushNode, which the
+      // scan phase shares.
+      if (eligible(u)) { queue.reserve(g.nbrCount(u)); pushNode(u, enqueue = true) }
       if (queue.size > switchAt) switched = true
     }
     if (switched) {
@@ -67,12 +64,7 @@ object SpeedPprSeq {
         var u = 0
         while (u < g.n) {
           touches += 1
-          if (eligible(u)) {
-            val scale = settle(u)
-            var e = g.indptr(u)
-            while (e < g.indptr(u + 1)) { r(g.nbr(e)) += scale * g.wgt(e); e += 1 }
-            anyPush = true
-          }
+          if (eligible(u)) { pushNode(u, enqueue = false); anyPush = true }
           u += 1
         }
       }
