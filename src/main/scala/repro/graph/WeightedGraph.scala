@@ -129,13 +129,16 @@ object WeightedGraph {
     * `n-1` are kept.
     */
   def fromUndirectedEdges(n: Int, edges: Seq[(Int, Int, Double)]): WeightedGraph = {
-    edges.foreach { case (u, v, w) =>
-      require(u != v, s"self-loop at $u")
-      require(w > 0 && w < Double.PositiveInfinity, s"weight $w on ($u,$v) is not finite and positive")
-      require(u >= 0 && u < n && v >= 0 && v < n, s"node id out of range: ($u,$v)")
-    }
+    // One pass checks each edge and counts degrees. The checks throw from
+    // `if`s: `require`'s by-name message would allocate a closure per check.
     val degCnt = new Array[Int](n)
-    edges.foreach { case (u, v, _) => degCnt(u) += 1; degCnt(v) += 1 }
+    edges.foreach { case (u, v, w) =>
+      if (u == v) throw new IllegalArgumentException(s"self-loop at $u")
+      if (!(w > 0 && w < Double.PositiveInfinity))
+        throw new IllegalArgumentException(s"weight $w on ($u,$v) is not finite and positive")
+      if (u < 0 || u >= n || v < 0 || v >= n) throw new IllegalArgumentException(s"node id out of range: ($u,$v)")
+      degCnt(u) += 1; degCnt(v) += 1
+    }
     val indptr = new Array[Int](n + 1)
     var u = 0
     while (u < n) { indptr(u + 1) = indptr(u) + degCnt(u); u += 1 }
