@@ -143,14 +143,19 @@ object EdgePushSeq {
           scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) =
     runProbed(g, s, alpha, theta, scanSwitchFrac, NoProbe)
 
-  private val NoProbe: (Int, Array[Double], Array[Double]) => Unit = (_, _, _) => ()
-
-  /** As `run`, calling `onDrain(x, q, Q)` with the live state as each drain
-    * of a node x begins, before its pushes.
+  /** Sees the live state (q, Q) as each drain of a node x begins, before its
+    * pushes. A trait rather than a function type, whose `Int` argument would
+    * be boxed on every drain.
     */
+  private[core] trait DrainProbe {
+    def apply(x: Int, q: Array[Double], expense: Array[Double]): Unit
+  }
+
+  private val NoProbe: DrainProbe = (_, _, _) => ()
+
+  /** As `run`, calling `onDrain` as each drain begins. */
   private[core] def runProbed(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
-                              scanSwitchFrac: Option[Double],
-                              onDrain: (Int, Array[Double], Array[Double]) => Unit)
+                              scanSwitchFrac: Option[Double], onDrain: DrainProbe)
       : (PprResult, Array[Double], Array[Double]) = {
     require(theta.length == g.directedEdgeCount)
     val t0 = System.nanoTime()
