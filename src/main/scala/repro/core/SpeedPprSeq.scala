@@ -41,10 +41,10 @@ object SpeedPprSeq {
       while (e < g.indptr(u + 1)) {
         val v = g.nbr(e)
         r(v) += scale * g.wgt(e)
-        touches += 1
         if (enqueue && !inQ(v) && eligible(v)) { queue.add(v); inQ(v) = true }
         e += 1
       }
+      touches += g.nbrCount(u)
       pushOps += 1
     }
 
