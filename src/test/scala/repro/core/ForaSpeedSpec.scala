@@ -172,4 +172,32 @@ class ForaSpeedSpec extends AnyFunSuite {
         ((ops, touches, steps, digest)), s"$graph source $s")
     }
   }
+
+  /** (graph, source, pushOps, edgeTouches, walkSteps, digest of π̂) for FORA
+    * with δ = 1e-3 and its default seed, recorded from the kernel that
+    * rebuilt a 2m-long prefix-sum index per query and drew from
+    * `scala.util.Random`.
+    */
+  private val foraGolden: Seq[(String, Int, Long, Long, Long, Long)] = Seq(
+    ("star", 0, 1805L, 3599L, 37129L, 0x1642d7a729cd8d6cL),
+    ("star", 1, 1508L, 3302L, 38242L, 0x3da938766bd7fffeL),
+    ("star", 301, 0L, 0L, 0L, 0xc30817cbdf9c735bL),
+    ("complete", 0, 60L, 4740L, 43238L, 0x382ad5789f0c486dL),
+    ("complete", 58, 60L, 4740L, 43238L, 0x19254871df43e7ccL),
+    ("complete", 80, 0L, 0L, 0L, 0x1593ee1240c22569L),
+    ("affinity", 0, 191L, 38009L, 188020L, 0x249a68ab6ca335faL),
+    ("affinity", 147, 192L, 38208L, 206445L, 0xace7afa6c983a6efL),
+    ("affinity", 200, 0L, 0L, 0L, 0x0600d9ac0b033b89L),
+    ("chunglu", 0, 2766L, 25933L, 187306L, 0x83f91e570ba0da50L),
+    ("chunglu", 735, 826L, 8346L, 113077L, 0x1004482c768d397cL),
+    ("chunglu", 2000, 0L, 0L, 0L, 0x202136cebf368369L)
+  )
+
+  test("golden: FORA counts and π̂ bits unchanged on the golden graphs") {
+    for ((graph, s, ops, touches, steps, digest) <- foraGolden) {
+      val res = ForaSeq.compute(Goldens.graphs(graph), s, alpha, 1e-3)
+      assert((res.pushOps, res.edgeTouches, res.walkSteps, Goldens.bitsDigest(res.pi)) ==
+        ((ops, touches, steps, digest)), s"$graph source $s")
+    }
+  }
 }

@@ -70,4 +70,34 @@ class MonteCarloSeqSpec extends AnyFunSuite {
     val seen = (1 to 2000).map(_ => idx.sample(g, 0, rnd)).toSet
     assert(seen == (1 until 6).toSet)
   }
+
+  /** (graph, source, walkSteps, digest of π̂) for 10,000 walks with seed
+    * 42 + source, as the benchmark seeds them, recorded from the kernel that
+    * rebuilt a 2m-long prefix-sum index per query and drew from
+    * `scala.util.Random`. The last source of each graph is its isolated node.
+    */
+  private val golden: Seq[(String, Int, Long, Long)] = Seq(
+    ("star", 0, 39882L, 0xd751626253090859L),
+    ("star", 1, 40114L, 0x740d673ceb99a53fL),
+    ("star", 301, 0L, 0x4fb8503421075d5dL),
+    ("complete", 0, 39882L, 0x52c997ebe3ad22d5L),
+    ("complete", 58, 40190L, 0xc22d2d007ca501fdL),
+    ("complete", 80, 0L, 0x542be9edbe9a769fL),
+    ("affinity", 0, 39882L, 0xd4ac0d47b35eb853L),
+    ("affinity", 147, 40544L, 0x54496e61a6b90df7L),
+    ("affinity", 200, 0L, 0x59bfbe53f53426bfL),
+    ("chunglu", 0, 39882L, 0xc36e5113a232b2ceL),
+    ("chunglu", 735, 39828L, 0x3bae3f36416e9cb1L),
+    ("chunglu", 2000, 0L, 0xd3dea13140ff989fL)
+  )
+
+  private def goldenQuery(graph: String, s: Int): PprResult =
+    MonteCarloSeq.compute(Goldens.graphs(graph), s, alpha, walks = 10000, seed = 42 + s)
+
+  test("golden: Monte-Carlo walk steps and π̂ bits unchanged on the golden graphs") {
+    for ((graph, s, steps, digest) <- golden) {
+      val res = goldenQuery(graph, s)
+      assert((res.walkSteps, Goldens.bitsDigest(res.pi)) == ((steps, digest)), s"$graph source $s")
+    }
+  }
 }
