@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.graph.WeightedGraph
-import scala.util.Random
 
 /** FORA (§3, Wang et al.): forward push + Monte-Carlo refinement.
   *
@@ -9,7 +8,8 @@ import scala.util.Random
   * cost 2m/(αθ‖A‖₁) against the walk cost ω·Σr ≤ ω·θ·‖A‖₁, i.e.
   * θ = √(2m/(α·ω)) / ‖A‖₁. Phase 2 compensates each leftover residue
   * r(u) with ⌈r(u)·ω⌉ α-random walks from u, each depositing
-  * r(u)/⌈r(u)·ω⌉ at its stop node.
+  * r(u)/⌈r(u)·ω⌉ at its stop node ([[MonteCarloSeq.compensate]]; the
+  * walks' prefix sums are built per query, for the nodes they leave).
   */
 object ForaSeq {
 
@@ -22,29 +22,7 @@ object ForaSeq {
     val (pushRes, r) = LocalPushSeq.run(g, s, alpha, theta)
     val pi = pushRes.pi.clone()
 
-    val idx = new MonteCarloSeq.AliasIndex(g)
-    val rnd = new Random(seed)
-    var steps = 0L
-    var u = 0
-    while (u < g.n) {
-      val ru = r(u)
-      if (ru > 0) {
-        val wU = math.max(1L, math.ceil(ru * omega).toLong)
-        val inc = ru / wU
-        var w = 0L
-        while (w < wU) {
-          var x = u
-          var alive = true
-          while (alive) {
-            if (rnd.nextDouble() < alpha || g.deg(x) <= 0) alive = false
-            else { x = idx.sample(g, x, rnd); steps += 1 }
-          }
-          pi(x) += inc
-          w += 1
-        }
-      }
-      u += 1
-    }
+    val steps = MonteCarloSeq.compensate(g, alpha, r, omega, seed, pi)
     PprResult(pi, pushRes.pushOps, pushRes.edgeTouches, steps,
       wallNanos = System.nanoTime() - t0)
   }

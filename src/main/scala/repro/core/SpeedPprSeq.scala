@@ -1,12 +1,12 @@
 package repro.core
 
 import repro.graph.WeightedGraph
-import scala.util.Random
 
 /** SpeedPPR (§3, Wu et al.): PowForPush for the push phase + the same
-  * Monte-Carlo residue compensation as FORA. The scan-switching push makes
-  * the deterministic phase cheaper at small thresholds, which is where
-  * SpeedPPR overtakes FORA.
+  * Monte-Carlo residue compensation as FORA ([[MonteCarloSeq.compensate]],
+  * with prefix sums built per query for the nodes its walks leave). The
+  * scan-switching push makes the deterministic phase cheaper at small
+  * thresholds, which is where SpeedPPR overtakes FORA.
   */
 object SpeedPprSeq {
 
@@ -71,29 +71,7 @@ object SpeedPprSeq {
     }
 
     // Monte-Carlo compensation of the remaining residues (as in FORA).
-    val idx = new MonteCarloSeq.AliasIndex(g)
-    val rnd = new Random(seed)
-    var steps = 0L
-    var u = 0
-    while (u < g.n) {
-      val ru = r(u)
-      if (ru > 0) {
-        val wU = math.max(1L, math.ceil(ru * omega).toLong)
-        val inc = ru / wU
-        var w = 0L
-        while (w < wU) {
-          var x = u
-          var alive = true
-          while (alive) {
-            if (rnd.nextDouble() < alpha || g.deg(x) <= 0) alive = false
-            else { x = idx.sample(g, x, rnd); steps += 1 }
-          }
-          pi(x) += inc
-          w += 1
-        }
-      }
-      u += 1
-    }
+    val steps = MonteCarloSeq.compensate(g, alpha, r, omega, seed, pi)
     PprResult(pi, pushOps, touches, steps, wallNanos = System.nanoTime() - t0)
   }
 }

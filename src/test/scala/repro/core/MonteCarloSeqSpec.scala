@@ -62,13 +62,26 @@ class MonteCarloSeqSpec extends AnyFunSuite {
     assert(meanSteps > 3.5 && meanSteps < 4.5, s"meanSteps=$meanSteps")
   }
 
-  test("AliasIndex samples every neighbor of a uniform star") {
+  test("walk kernel samples every neighbor of a uniform star") {
     val edges = (1 until 6).map(v => (0, v, 1.0))
     val g = WeightedGraph.fromUndirectedEdges(6, edges)
-    val idx = new MonteCarloSeq.AliasIndex(g)
-    val rnd = new scala.util.Random(1)
-    val seen = (1 to 2000).map(_ => idx.sample(g, 0, rnd)).toSet
+    val walker = new MonteCarloSeq.Walker(g, alpha, seed = 1)
+    val seen = (1 to 2000).map(_ => walker.sample(0)).toSet
     assert(seen == (1 until 6).toSet)
+  }
+
+  test("walk kernel draws java.util.Random's nextDouble stream") {
+    val g = GraphGen.uniformComplete(3)
+    for (seed <- Seq(0L, 1L, 42L, -1L, Long.MinValue, Long.MaxValue)) {
+      val walker = new MonteCarloSeq.Walker(g, alpha, seed)
+      val want = new java.util.Random(seed)
+      var i = 0
+      while (i < 100000) {
+        val (a, b) = (walker.nextDouble(), want.nextDouble())
+        assert(java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b), s"seed $seed draw $i")
+        i += 1
+      }
+    }
   }
 
   /** (graph, source, walkSteps, digest of π̂) for 10,000 walks with seed
@@ -99,5 +112,22 @@ class MonteCarloSeqSpec extends AnyFunSuite {
       val res = goldenQuery(graph, s)
       assert((res.walkSteps, Goldens.bitsDigest(res.pi)) == ((steps, digest)), s"$graph source $s")
     }
+  }
+
+  test("golden row holds when the prefix-sum arena relocates mid-query") {
+    // Source 1 is the star's v1: one edge to the hub, one pendant edge. Every
+    // walk leaves v1 first, so its two sums are in the arena before the hub's,
+    // which exceed the arena's initial capacity and move it.
+    val g = Goldens.graphs("star")
+    val hub = 0
+    assert(g.nbrCount(1) == 2 && (g.indptr(1) until g.indptr(2)).exists(g.nbr(_) == hub))
+    assert(g.nbrCount(hub) > MonteCarloSeq.InitialArena)
+    val walker = new MonteCarloSeq.Walker(g, alpha, seed = 43)
+    (1 to 10000).foreach(_ => walker.walk(1))
+    assert(walker.arenaSlots > MonteCarloSeq.InitialArena)
+    val (_, _, steps, digest) = golden.find(r => r._1 == "star" && r._2 == 1).get
+    val res = goldenQuery("star", 1)
+    assert((res.walkSteps, Goldens.bitsDigest(res.pi)) == ((steps, digest)))
+    assert(walker.steps == steps)
   }
 }
