@@ -116,12 +116,13 @@ class MonteCarloSeqSpec extends AnyFunSuite {
 
   test("golden row holds when the prefix-sum arena relocates mid-query") {
     // Source 1 is the star's v1: one edge to the hub, one pendant edge. Every
-    // walk leaves v1 first, so its two sums are in the arena before the hub's,
-    // which exceed the arena's initial capacity and move it.
+    // walk starts at v1, so v1's two sums enter the arena before any other
+    // node's; the hub's exceed the arena's initial capacity and move it.
     val g = Goldens.graphs("star")
     val hub = 0
     assert(g.nbrCount(1) == 2 && (g.indptr(1) until g.indptr(2)).exists(g.nbr(_) == hub))
     assert(g.nbrCount(hub) > MonteCarloSeq.InitialArena)
+    // the golden query's walks, run through the kernel directly
     val walker = new MonteCarloSeq.Walker(g, alpha, seed = 43)
     (1 to 10000).foreach(_ => walker.walk(1))
     assert(walker.arenaSlots > MonteCarloSeq.InitialArena)
