@@ -8,8 +8,9 @@ import repro.graph.WeightedGraph
   * cost 2m/(αθ‖A‖₁) against the walk cost ω·Σr ≤ ω·θ·‖A‖₁, i.e.
   * θ = √(2m/(α·ω)) / ‖A‖₁. Phase 2 compensates each leftover residue
   * r(u) with ⌈r(u)·ω⌉ α-random walks from u, each depositing
-  * r(u)/⌈r(u)·ω⌉ at its stop node ([[MonteCarloSeq.compensate]]; the
-  * walks' prefix sums are built per query, for the nodes they leave).
+  * r(u)/⌈r(u)·ω⌉ at its stop node ([[MonteCarloSeq.compensate]]; each
+  * step samples from the graph's checkpoints [[WeightedGraph.blockSums]],
+  * so the walks allocate nothing per query).
   */
 object ForaSeq {
 

@@ -4,9 +4,10 @@ import repro.graph.WeightedGraph
 
 /** Monte-Carlo sampling (§3): simulate W α-random walks from s; π̂(u) is
   * the fraction of walks that stop at u. On weighted graphs each step
-  * moves to neighbor v with probability A_uv/d(u), sampled by binary search
-  * over u's prefix sums, which are built per query and lazily: the first
-  * time a walk leaves u (see [[MonteCarloSeq.Walker]]).
+  * moves to neighbor v with probability A_uv/d(u): the first edge of u's row
+  * whose prefix sum reaches x, for x uniform in [0, d(u)), found from the
+  * graph's checkpoints [[WeightedGraph.blockSums]] (see
+  * [[MonteCarloSeq.Walker]]). A query allocates only its π̂.
   *
   * The walk count follows the standard (δ, ε_r, p_f) Chernoff setting used
   * by FORA/SpeedPPR: W = (2ε_r/3 + 2)·ln(2/p_f) / (ε_r²·δ).
@@ -17,9 +18,6 @@ object MonteCarloSeq {
   def walkCount(delta: Double, epsR: Double, pf: Double): Long =
     math.ceil((2 * epsR / 3 + 2) * math.log(2.0 / pf) / (epsR * epsR * delta)).toLong
 
-  /** Initial number of prefix-sum slots in a query's arena. */
-  private[core] final val InitialArena = 64
-
   private final val Multiplier = 0x5DEECE66DL
   private final val Addend = 0xBL
   private final val Mask = (1L << 48) - 1
@@ -28,24 +26,17 @@ object MonteCarloSeq {
   /** The α-walk kernel of MC, FORA and SpeedPPR, for one query.
     *
     * It draws the stream of `new java.util.Random(seed)` from a plain
-    * `Long` copy of its 48-bit LCG (no `AtomicLong` per draw), and keeps
-    * node u's prefix sums of A_uv, accumulated from 0.0 in CSR order, in an
-    * arena that starts at [[InitialArena]] slots and doubles, capped at 2m.
-    * They are appended the first time a walk leaves u. So a query costs an
-    * O(n) offset array plus O(Σ n(u)) over the nodes its walks leave, plus
-    * O(log n(u)) per step.
+    * `Long` copy of its 48-bit LCG (no `AtomicLong` per draw), and samples
+    * a step from the graph's own checkpoints, [[WeightedGraph.blockSums]]:
+    * a binary search over the checkpoints in u's row, then at most 8 adds.
+    * So a query allocates nothing but its π̂, and a step costs
+    * O(log(n(u)/8) + 8).
     */
   private[core] final class Walker(g: WeightedGraph, alpha: Double, seed: Long) {
     private var rnd = (seed ^ Multiplier) & Mask
-    // off(u) − 1 is where u's sums start in cum; 0 means not built yet.
-    private val off = new Array[Int](g.n)
-    private var cum = new Array[Double](math.min(InitialArena, g.directedEdgeCount))
-    private var used = 0
 
     /** Moves made by every walk so far. */
     var steps = 0L
-
-    private[core] def arenaSlots: Int = cum.length
 
     /** The next value of `java.util.Random.nextDouble()`. */
     private[core] def nextDouble(): Double =
@@ -56,37 +47,40 @@ object MonteCarloSeq {
       (rnd >>> (48 - bits)).toInt
     }
 
-    /** Append u's prefix sums to the arena; returns where they start. */
-    private def build(u: Int): Int = {
-      val e0 = g.indptr(u)
-      val len = g.indptr(u + 1) - e0
-      if (used + len > cum.length) {
-        val cap = math.min(math.max(2L * cum.length, used + len), g.directedEdgeCount).toInt
-        cum = java.util.Arrays.copyOf(cum, cap)
-      }
-      val lo = used
-      var acc = 0.0
-      var i = 0
-      while (i < len) { acc += g.wgt(e0 + i); cum(lo + i) = acc; i += 1 }
-      used += len
-      off(u) = lo + 1
-      lo
-    }
-
-    /** A neighbor of u, drawn proportional to edge weight: the first edge
-      * whose prefix sum is ≥ x, for x uniform in [0, d(u)).
+    /** The first edge e of u's row whose row-relative prefix sum cum(e) is
+      * ≥ x, or the row's last edge if there is none. The checkpoints in the
+      * row are the slots [lo/8, hi/8 − 1]; the first one ≥ x bounds e, and
+      * the sums are recomputed from the checkpoint before it (or from 0.0
+      * at the row start) by the additions that filled the checkpoints, so
+      * cum(e) is the same double as a full prefix-sum array would hold.
       */
-    private[core] def sample(u: Int): Int = {
-      val lo = if (off(u) == 0) build(u) else off(u) - 1
-      val x = nextDouble() * g.deg(u)
-      var a = lo
-      var b = lo + g.nbrCount(u) - 1
+    private[core] def pick(u: Int, x: Double): Int = {
+      val lo = g.indptr(u)
+      val last = g.indptr(u + 1) - 1
+      val sums = g.blockSums
+      val first = lo >>> 3
+      var a = first
+      var b = (last + 1) >>> 3 // one past the row's last checkpoint
       while (a < b) {
         val mid = (a + b) >>> 1
-        if (cum(mid) < x) a = mid + 1 else b = mid
+        if (sums(mid) < x) a = mid + 1 else b = mid
       }
-      g.nbr(g.indptr(u) + (a - lo))
+      // e is the first edge after checkpoint a − 1, acc the sum before it
+      var e = lo
+      var acc = 0.0
+      if (a > first) { e = a << 3; acc = sums(a - 1) }
+      if (e > last) last // the row's last edge is a checkpoint, and < x
+      else {
+        acc += g.wgt(e)
+        while (acc < x && e < last) { e += 1; acc += g.wgt(e) }
+        e
+      }
     }
+
+    /** A neighbor of u, drawn proportional to edge weight: [[pick]] for x
+      * uniform in [0, d(u)).
+      */
+    private[core] def sample(u: Int): Int = g.nbr(pick(u, nextDouble() * g.deg(u)))
 
     /** Run one α-walk from `from` and return the node where it stops. Each
       * step first draws whether to stop, then stops anyway at a node

@@ -4,7 +4,8 @@ import repro.graph.WeightedGraph
 
 /** SpeedPPR (§3, Wu et al.): PowForPush for the push phase + the same
   * Monte-Carlo residue compensation as FORA ([[MonteCarloSeq.compensate]],
-  * with prefix sums built per query for the nodes its walks leave). The
+  * whose steps sample from the graph's checkpoints
+  * [[WeightedGraph.blockSums]]; nothing is built per query). The
   * scan-switching push makes the deterministic phase cheaper at small
   * thresholds, which is where SpeedPPR overtakes FORA.
   */

@@ -28,13 +28,29 @@ final class WeightedGraph(
   /** Number of undirected edges m. */
   def m: Int = nbr.length / 2
 
-  /** Weighted degree d(u) = Σ_{v∈N(u)} A_uv. */
+  /** Row-relative prefix sums of A at every eighth directed edge, the
+    * walk kernel's checkpoints (`repro.core.MonteCarloSeq`): `blockSums(j)`
+    * is the sum of A over edge e = 8j+7, the last edge of aligned block j,
+    * and the edges before it in its row, added from 0.0 in CSR order.
+    * Length ⌊2m/8⌋; filled by the loop that computes [[deg]].
+    */
+  val blockSums: Array[Double] = new Array[Double](nbr.length >>> 3)
+
+  /** Weighted degree d(u) = Σ_{v∈N(u)} A_uv, summed from 0.0 in CSR order,
+    * so it equals the last of u's row-relative prefix sums bit for bit.
+    */
   val deg: Array[Double] = {
     val d = new Array[Double](n)
     var u = 0
     while (u < n) {
+      var acc = 0.0
       var e = indptr(u)
-      while (e < indptr(u + 1)) { d(u) += wgt(e); e += 1 }
+      while (e < indptr(u + 1)) {
+        acc += wgt(e)
+        if ((e & 7) == 7) blockSums(e >>> 3) = acc
+        e += 1
+      }
+      d(u) = acc
       u += 1
     }
     d

@@ -114,21 +114,74 @@ class MonteCarloSeqSpec extends AnyFunSuite {
     }
   }
 
-  test("golden row holds when the prefix-sum arena relocates mid-query") {
-    // Source 1 is the star's v1: one edge to the hub, one pendant edge. Every
-    // walk starts at v1, so v1's two sums enter the arena before any other
-    // node's; the hub's exceed the arena's initial capacity and move it.
-    val g = Goldens.graphs("star")
-    val hub = 0
-    assert(g.nbrCount(1) == 2 && (g.indptr(1) until g.indptr(2)).exists(g.nbr(_) == hub))
-    assert(g.nbrCount(hub) > MonteCarloSeq.InitialArena)
-    // the golden query's walks, run through the kernel directly
-    val walker = new MonteCarloSeq.Walker(g, alpha, seed = 43)
-    (1 to 10000).foreach(_ => walker.walk(1))
-    assert(walker.arenaSlots > MonteCarloSeq.InitialArena)
+  /** The reference for `Walker.pick`: u's full row prefix sums, from 0.0 in
+    * CSR order, and the first edge whose sum is ≥ x (the row's last edge if
+    * none is), found by binary search.
+    */
+  private def refPick(g: WeightedGraph, u: Int, x: Double): Int = {
+    val lo = g.indptr(u)
+    val cum = (lo until g.indptr(u + 1)).scanLeft(0.0)(_ + g.wgt(_)).tail
+    var a = 0
+    var b = cum.length - 1
+    while (a < b) {
+      val mid = (a + b) >>> 1
+      if (cum(mid) < x) a = mid + 1 else b = mid
+    }
+    lo + a
+  }
+
+  /** x = 0, every prefix sum of u's row and the double just below it, and
+    * d(u)·(1 − 2⁻⁵³), the largest draw.
+    */
+  private def probes(g: WeightedGraph, u: Int): Seq[Double] = {
+    val cum = (g.indptr(u) until g.indptr(u + 1)).scanLeft(0.0)(_ + g.wgt(_)).tail
+    Seq(0.0, g.deg(u) * (1 - 1.0 / (1L << 53))) ++ cum ++ cum.map(math.nextDown)
+  }
+
+  /** For every row length L in 1..20 and every offset k mod 8, a hub whose
+    * row of L edges starts at a directed-edge index ≡ k (mod 8). Leaves
+    * (rows of one edge) placed before a hub shift its row to offset k.
+    * Weights span 25 orders of magnitude, so some sums absorb an edge.
+    */
+  private def alignedHubs(): (WeightedGraph, Seq[(Int, Int, Int)]) = {
+    val rows = for (len <- 1 to 20; k <- 0 until 8) yield (len, k)
+    val leafCount = rows.map(_._1).sum
+    val hubAt = scala.collection.mutable.ArrayBuffer.empty[Int] // row index -> id
+    var id = 0
+    var off = 0
+    var padding = 0
+    for ((len, k) <- rows) {
+      val pad = Math.floorMod(k - off, 8)
+      id += pad; padding += pad; off += pad // leaf rows before the hub
+      hubAt += id
+      id += 1; off += len
+    }
+    assert(padding <= leafCount)
+    val n = id + (leafCount - padding)
+    val hubs = hubAt.toSet
+    val leaves = (0 until n).filterNot(hubs).iterator
+    val rnd = new scala.util.Random(7)
+    val edges = rows.indices.flatMap { i =>
+      Seq.fill(rows(i)._1)((hubAt(i), leaves.next(), math.pow(10, -20 + 25 * rnd.nextDouble())))
+    }
+    val g = WeightedGraph.fromUndirectedEdges(n, edges)
+    (g, rows.indices.map(i => (hubAt(i), rows(i)._1, rows(i)._2)))
+  }
+
+  test("pick finds the edge a search over the full row prefix sums finds") {
+    val (g, hubs) = alignedHubs()
+    for ((u, len, k) <- hubs) assert(g.nbrCount(u) == len && g.indptr(u) % 8 == k)
+    assert(hubs.exists { case (u, _, _) => g.indptr(u + 1) % 8 == 0 }, "no row ends at a checkpoint")
+    val star = Goldens.graphs("star")
+    assert(star.nbrCount(0) > 8 * 8, "the star's hub spans many blocks")
+    for ((graph, u) <- hubs.map(h => (g, h._1)) :+ ((star, 0))) {
+      val walker = new MonteCarloSeq.Walker(graph, alpha, seed = 1)
+      for (x <- probes(graph, u))
+        assert(walker.pick(u, x) == refPick(graph, u, x), s"node $u, x = $x")
+    }
+    // The golden row of a query whose walks cross the star's hub.
     val (_, _, steps, digest) = golden.find(r => r._1 == "star" && r._2 == 1).get
     val res = goldenQuery("star", 1)
     assert((res.walkSteps, Goldens.bitsDigest(res.pi)) == ((steps, digest)))
-    assert(walker.steps == steps)
   }
 }

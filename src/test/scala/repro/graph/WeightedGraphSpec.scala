@@ -74,6 +74,33 @@ class WeightedGraphSpec extends SparkSpec {
     assert(g.nbrCount(2) == 0)
   }
 
+  test("blockSums and deg are the rows' prefix sums, bit for bit") {
+    // ids 7, 15, 23, … stay isolated; weights span 20 orders of magnitude
+    val spread = (u: Int) => u + u / 7
+    val rnd = new scala.util.Random(5)
+    val edges = GraphGen.undirectedEdges(GraphGen.randomGraph(60, 0.2, seed = 3))
+      .map { case (u, v, _) => (spread(u), spread(v), math.pow(10, -10 + 20 * rnd.nextDouble())) }
+    val g = WeightedGraph.fromUndirectedEdges(spread(59) + 1, edges)
+    assert((0 until g.n).exists(g.nbrCount(_) == 0))
+    assert(g.blockSums.length == 2 * g.m / 8)
+    val bits = java.lang.Double.doubleToLongBits _
+    var checked = 0
+    for (u <- 0 until g.n) {
+      var acc = 0.0
+      for (e <- g.indptr(u) until g.indptr(u + 1)) {
+        acc += g.wgt(e)
+        if (e % 8 == 7) { assert(bits(g.blockSums(e / 8)) == bits(acc), s"edge $e"); checked += 1 }
+      }
+      assert(bits(g.deg(u)) == bits(acc), s"node $u")
+    }
+    assert(checked == g.blockSums.length)
+  }
+
+  test("blockSums is empty below 8 directed edges") {
+    assert(triangle.blockSums.isEmpty)
+    assert(WeightedGraph.fromUndirectedEdges(3, Seq.empty[(Int, Int, Double)]).blockSums.isEmpty)
+  }
+
   test("self-loops are rejected") {
     intercept[IllegalArgumentException] {
       WeightedGraph.fromUndirectedEdges(3, Seq((1, 1, 1.0)))
