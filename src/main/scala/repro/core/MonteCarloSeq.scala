@@ -26,11 +26,9 @@ object MonteCarloSeq {
   /** The α-walk kernel of MC, FORA and SpeedPPR, for one query.
     *
     * It draws the stream of `new java.util.Random(seed)` from a plain
-    * `Long` copy of its 48-bit LCG (no `AtomicLong` per draw), and samples
-    * a step from the graph's own checkpoints, [[WeightedGraph.blockSums]]:
-    * a binary search over the checkpoints in u's row, then at most 8 adds.
-    * So a query allocates nothing but its π̂, and a step costs
-    * O(log(n(u)/8) + 8).
+    * `Long` copy of its 48-bit LCG (no `AtomicLong` per draw). A step binary
+    * searches the checkpoints [[WeightedGraph.blockSums]] in u's row, then
+    * adds at most 8 weights: O(log(n(u)/8) + 8), with nothing allocated.
     */
   private[core] final class Walker(g: WeightedGraph, alpha: Double, seed: Long) {
     private var rnd = (seed ^ Multiplier) & Mask
@@ -47,12 +45,9 @@ object MonteCarloSeq {
       (rnd >>> (48 - bits)).toInt
     }
 
-    /** The first edge e of u's row whose row-relative prefix sum cum(e) is
-      * ≥ x, or the row's last edge if there is none. The checkpoints in the
-      * row are the slots [lo/8, hi/8 − 1]; the first one ≥ x bounds e, and
-      * the sums are recomputed from the checkpoint before it (or from 0.0
-      * at the row start) by the additions that filled the checkpoints, so
-      * cum(e) is the same double as a full prefix-sum array would hold.
+    /** The first edge of u's row whose row prefix sum is ≥ x, else the
+      * row's last edge: recomputed from the checkpoint before the first one
+      * ≥ x by the additions that filled it, so bit-identical to full sums.
       */
     private[core] def pick(u: Int, x: Double): Int = {
       val lo = g.indptr(u)
@@ -65,8 +60,7 @@ object MonteCarloSeq {
         val mid = (a + b) >>> 1
         if (sums(mid) < x) a = mid + 1 else b = mid
       }
-      // e is the first edge after checkpoint a − 1, acc the sum before it
-      var e = lo
+      var e = lo // the first edge after checkpoint a − 1; acc, the sum before it
       var acc = 0.0
       if (a > first) { e = a << 3; acc = sums(a - 1) }
       if (e > last) last // the row's last edge is a checkpoint, and < x
@@ -77,9 +71,7 @@ object MonteCarloSeq {
       }
     }
 
-    /** A neighbor of u, drawn proportional to edge weight: [[pick]] for x
-      * uniform in [0, d(u)).
-      */
+    /** A neighbor of u, drawn proportional to edge weight. */
     private[core] def sample(u: Int): Int = g.nbr(pick(u, nextDouble() * g.deg(u)))
 
     /** Run one α-walk from `from` and return the node where it stops. Each

@@ -28,17 +28,12 @@ final class WeightedGraph(
   /** Number of undirected edges m. */
   def m: Int = nbr.length / 2
 
-  /** Row-relative prefix sums of A at every eighth directed edge, the
-    * walk kernel's checkpoints (`repro.core.MonteCarloSeq`): `blockSums(j)`
-    * is the sum of A over edge e = 8j+7, the last edge of aligned block j,
-    * and the edges before it in its row, added from 0.0 in CSR order.
-    * Length ⌊2m/8⌋; filled by the loop that computes [[deg]].
+  /** The walk kernel's checkpoints, length ⌊2m/8⌋: `blockSums(j)` is the
+    * row-relative prefix sum of A at edge 8j+7, added from 0.0 in CSR order.
     */
   val blockSums: Array[Double] = new Array[Double](nbr.length >>> 3)
 
-  /** Weighted degree d(u) = Σ_{v∈N(u)} A_uv, summed from 0.0 in CSR order,
-    * so it equals the last of u's row-relative prefix sums bit for bit.
-    */
+  /** Weighted degree d(u) = Σ_{v∈N(u)} A_uv: u's last row prefix sum. */
   val deg: Array[Double] = {
     val d = new Array[Double](n)
     var u = 0
