@@ -1,7 +1,6 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 /** An undirected weighted graph in CSR (compressed sparse row) form.
   *
@@ -56,16 +55,6 @@ final class WeightedGraph(
 
   /** Total edge weight ‖A‖₁ = Σ_{⟨u,v⟩∈Ē} A_uv. */
   val totalWeight: Double = deg.sum
-
-  /** Source node of directed edge `e` (O(log n) via binary search on indptr). */
-  def srcOf(e: Int): Int = {
-    var lo = 0; var hi = n - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (indptr(mid) <= e) lo = mid else hi = mid - 1
-    }
-    lo
-  }
 
   /** Weight of the directed edge ⟨u,v⟩, or 0 if absent (linear in n(u)). */
   def weightOf(u: Int, v: Int): Double = {
@@ -175,20 +164,5 @@ object WeightedGraph {
       u += 1
     }
     new WeightedGraph(n, indptr, nbr, wgt)
-  }
-
-  /** Rebuild a CSR graph from a directed edge relation (src, dst, weight)
-    * that contains both orientations of every undirected edge. Used to
-    * round-trip graphs produced by DataFrame pipelines (e.g. motif
-    * weighting).
-    */
-  def fromEdgeDF(df: DataFrame, n: Int): WeightedGraph = {
-    val undirected = df
-      .filter(col("src") < col("dst"))
-      .select(col("src").cast("long"), col("dst").cast("long"), col("weight").cast("double"))
-      .collect()
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getDouble(2)))
-      .toSeq
-    fromUndirectedEdges(n, undirected)
   }
 }

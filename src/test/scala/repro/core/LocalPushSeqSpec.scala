@@ -13,9 +13,16 @@ class LocalPushSeqSpec extends AnyFunSuite {
   test("terminal residues are all below d(u)*theta") {
     val g = GraphGen.randomGraph(50, 0.1, 1)
     val theta = 1e-4
-    val (_, r) = LocalPushSeq.run(g, 0, alpha, theta)
-    (0 until g.n).foreach(u =>
-      assert(r(u) < g.deg(u) * theta + 1e-15 || g.deg(u) == 0, s"node $u r=${r(u)}"))
+    val queueOnly = LocalPushSeq.run(g, 0, alpha, theta)
+    // Some(0.0) switches to scan passes once two nodes are queued; the
+    // scans' node reads make its touch count differ from the queue-only run's.
+    val switching = PowForPushSeq.run(g, 0, alpha, theta, scanSwitchFrac = Some(0.0))
+    assert(switching._1.edgeTouches != queueOnly._1.edgeTouches, "scan passes count node reads")
+    for (((res, r), name) <- Seq(queueOnly -> "queue-only", switching -> "switching")) {
+      (0 until g.n).foreach(u =>
+        assert(r(u) < g.deg(u) * theta + 1e-15 || g.deg(u) == 0, s"$name: node $u r=${r(u)}"))
+      assert(math.abs(res.pi.sum + r.sum - 1.0) < 1e-12, s"$name: mass not conserved")
+    }
   }
 
   test("reserve underestimates the true PPR everywhere") {

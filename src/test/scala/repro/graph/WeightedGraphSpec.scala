@@ -58,16 +58,6 @@ class WeightedGraphSpec extends SparkSpec {
     assert(math.abs(g.sumSqrtWeightsPerNode(2) - (math.sqrt(3.0) + math.sqrt(5.0))) < 1e-12)
   }
 
-  test("srcOf recovers the source of every directed edge") {
-    val g = GraphGen.randomGraph(30, 0.2, seed = 5)
-    var u = 0
-    while (u < g.n) {
-      var e = g.indptr(u)
-      while (e < g.indptr(u + 1)) { assert(g.srcOf(e) == u); e += 1 }
-      u += 1
-    }
-  }
-
   test("isolated nodes are preserved with degree 0") {
     val g = WeightedGraph.fromUndirectedEdges(5, Seq((0, 1, 1.0)))
     assert(g.deg(2) == 0.0 && g.deg(3) == 0.0 && g.deg(4) == 0.0)
@@ -171,14 +161,6 @@ class WeightedGraphSpec extends SparkSpec {
     assert(df.count() == 6)
     val rows = df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2))).toSet
     assert(rows.contains((0L, 1L, 2.0)) && rows.contains((1L, 0L, 2.0)))
-  }
-
-  test("fromEdgeDF round-trips a CSR graph") {
-    val g = GraphGen.randomGraph(25, 0.2, seed = 11)
-    val g2 = WeightedGraph.fromEdgeDF(g.toEdgeDF(spark), g.n)
-    assert(g2.n == g.n && g2.m == g.m)
-    assert(math.abs(g2.totalWeight - g.totalWeight) < 1e-9)
-    (0 until g.n).foreach(u => assert(math.abs(g2.deg(u) - g.deg(u)) < 1e-9))
   }
 
   test("oracle: weighted degrees via DuckDB SQL") {
