@@ -4,96 +4,55 @@ import repro.graph.WeightedGraph
 
 /** EdgePush (Algorithm 2) with the §4.3 two-level candidate structure.
   *
-  * State per the paper: node income q, edge expense Q; the edge residue
-  * R_uv = (1−α)·q(u)·A_uv/d(u) − Q_uv is kept implicit. The candidate set
-  * C = { ⟨u,v⟩ | R_uv ≥ θ(u,v) } is maintained via
+  * State per the paper: node income q and edge expense Q; the residue
+  * R_e = (1−α)·q(u)·A_e/d(u) − Q_e is implicit. A push sends the whole
+  * residue, so afterwards Q_e = t·A_e, with t the level T = (1−α)q(u)/d(u)
+  * of u at that push. So an edge's state is the level t_e of its last push
+  * (0 before any), and e is a candidate (R_e ≥ θ_e) iff t_e + c_e ≤ T, with
+  * c_e = θ_e/A_e. Levels only rise.
   *
-  *  - local level: a per-node min-heap Q(u) over u's out-edges keyed by
-  *    k_u(v) = (Q_uv + θ(u,v)) / A_uv (keys only ever increase);
-  *  - global level: a list L of nodes whose key
-  *    K_u = −(1−α)q(u)/d(u) + Q(u).top is ≤ 0 (Observation 1: K_u ≤ 0 iff
-  *    u's best edge is in C).
+  *  - local level: when u first drains, its edges are sorted once by c_e,
+  *    equal c_e in the heap preorder of their 1-based CSR offsets. In that
+  *    order they form a few runs of equal t (2.8 per drain on seq-deep),
+  *    kept as (end, t) pairs; within a run the candidates are a prefix.
+  *  - global level: a FIFO list L of the nodes with a candidate. Each
+  *    node's top key, the least t + c over its runs' first edges (min_e c_e
+  *    before its first drain), is cached in an n-long array.
   *
-  * The paper gets O(1) amortized per edge push with Thorup's word-RAM
-  * priority queue (Fact 3); we use array-embedded binary heaps, which
-  * changes constants only, never the *number* of edge pushes that Lemma 3
-  * bounds. A node u drains in one pass: its level T = (1−α)q(u)/d(u) is
-  * fixed while it drains (no self-loops), and a push lifts its edge's key
-  * above T, so a drain pushes exactly {e ∈ E(u) : k_e ≤ T}, each once. That
-  * set is top-closed in the heap; it is collected level by level from the
-  * root and pushed, and the heap is restored by sift-downs over the
-  * collected positions, deepest first. The neighbours a drain makes
-  * eligible join L in the order one find-min per push would have pushed
-  * their edges (by key, equal keys in heap preorder), so the schedule
-  * stays close to that of a per-push drain.
+  * A drain of u at level T pushes, from each run of level t < T, the prefix
+  * with t + c_e ≤ T: y = (T − t)·A_e, then q(v) += y. T is fixed while u
+  * drains (no self-loops), and the pushed prefixes become runs of level T.
+  * There is no sift and no per-push write of edge state; the paper's O(1)
+  * amortized push (Thorup's queue, Fact 3) becomes O(1) plus a share of the
+  * run walk, which changes constants, never the pushes Lemma 3 bounds. The
+  * neighbours a drain makes eligible join L by their edges' keys before the
+  * drain, equal keys in the same preorder.
   *
-  * Heaps are built lazily, in a per-query arena, so a query's cost follows
-  * the nodes it reaches rather than 2m. Per query it is a zeroed O(n)
-  * allocation for per-node state, plus the returned 2m-long expense array
-  * Q (no per-edge loop), plus one O(n(u)) scan for min_e θ_e/A_e when node
-  * u first receives income, plus O(n(u)) arena space, fill and heapify when
-  * u is first drained, i.e. O(Σ n(u)) over drained nodes with the arena's
-  * doubling copies, plus, per drain that pushes k edges and makes j
-  * neighbours eligible, O(k) to collect them, one bottom-up restore over
-  * those k positions and O(j log j) to order the j neighbours. A node's keys
-  * change only while it drains, so a heap built late equals one built at
-  * the start: push order, counts and π̂ are the same.
+  * Per query: a zeroed O(n) allocation and the returned 2m-long Q; one
+  * O(n(u)) scan for min_e c_e when u first receives income, which also
+  * rejects θ_e ≤ 0 or NaN; an O(n(u) log n(u)) sort and n(u) arena slots
+  * when u first drains; O(k + r + j log j) per drain that pushes k edges
+  * over r runs and queues j neighbours. Q_e = t_e·A_e is written once, from
+  * the runs, when the queue phase ends.
   *
   * An optional scan mode mirrors the §6.2 PowForPush-style switch: once
-  * the number of edge pushes exceeds `scanSwitchFrac·2m` (i.e. we have
-  * already done more pushes than one full scan would cost), the two-level
-  * structure is abandoned for sequential passes, pushing every edge whose
-  * residue exceeds its threshold. A per-node pruning bound
-  * max_e A_e/θ_e lets a pass skip nodes with no eligible edge in O(1),
-  * so a scan pass costs n + Σ n(u) over flagged nodes, like PowForPush's.
-  * Scanned nodes/edges are billed to `edgeTouches` so the cost comparison
-  * stays honest.
+  * edge pushes exceed `scanSwitchFrac·2m`, the two-level structure gives
+  * way to sequential passes that push every edge with R_e ≥ θ_e. A
+  * per-node bound max_e A_e/θ_e skips nodes with no eligible edge in O(1),
+  * so a pass costs n + Σ n(u) over flagged nodes, like PowForPush's.
+  * Scanned nodes and edges are billed to `edgeTouches`.
   */
 object EdgePushSeq {
 
-  // Per-query state of a node's heap (see `run`).
-  private final val Unbuilt = 0
+  // Per-query state of a node (see `run`).
+  private final val Unseen = 0
   private final val MinKnown = 1
-  private final val Built = 2
+  private final val Sorted = 2
 
-  /** Initial number of (key, edge) slots in a query's heap arena. */
+  /** Initial number of slots in a query's edge and run arenas. */
   private[core] final val InitialArena = 64
 
-  /** Restore the heap property downward from position `p0` of the segment
-    * [lo, hi) of the arena (keys, edges), where the children of position
-    * lo + i are lo + 2i + 1 and lo + 2i + 2.
-    */
-  private[core] def siftDown(keys: Array[Double], edges: Array[Int], lo: Int, hi: Int, p0: Int): Unit = {
-    // Hole-based: the entry at p0 is held aside while smaller children move
-    // up into the hole. A child moves only if strictly smaller, and the
-    // right child is chosen only if strictly smaller than the left, which
-    // gives the same result as swapping.
-    val k = keys(p0)
-    val e = edges(p0)
-    var p = p0
-    var child = lo + 2 * (p - lo) + 1
-    while (child < hi) {
-      if (child + 1 < hi && keys(child + 1) < keys(child)) child += 1
-      if (keys(child) < k) {
-        keys(p) = keys(child); edges(p) = edges(child)
-        p = child
-        child = lo + 2 * (p - lo) + 1
-      } else child = hi
-    }
-    keys(p) = k; edges(p) = e
-  }
-
-  // A drain queues the neighbours it makes eligible in a binary min-heap
-  // front(0 until size) of 1-based indices j into the node's heap segment
-  // (the edge at position lo + j − 1), ordered by the edges' keys before the
-  // drain, key(j), equal keys in heap preorder: the order in which popping
-  // the root, raising its key and sifting it down (left on ties) takes them.
-  private def before(key: Array[Double], i: Int, j: Int): Boolean =
-    key(i) < key(j) || (key(i) == key(j) && preorderBefore(i, j))
-
-  /** Whether 1-based heap index i comes before j in preorder: a node before
-    * its subtrees, a left subtree before the right one.
-    */
+  /** Whether 1-based heap index i comes before j in preorder (node, left, right). */
   private def preorderBefore(i: Int, j: Int): Boolean = {
     val di = 31 - Integer.numberOfLeadingZeros(i)
     val dj = 31 - Integer.numberOfLeadingZeros(j)
@@ -101,30 +60,50 @@ object EdgePushSeq {
     if (di <= dj) i <= (j >> (dj - di)) else (i >> (di - dj)) < j
   }
 
-  /** Put j at the root of the heap front(0 until size) and sift it down. */
-  private[core] def frontDown(key: Array[Double], front: Array[Int], size: Int, j: Int): Unit = {
-    var i = 0
-    var child = 1
-    while (child < size) {
-      if (child + 1 < size && before(key, front(child + 1), front(child))) child += 1
-      if (before(key, front(child), j)) {
-        front(i) = front(child)
-        i = child
-        child = 2 * i + 1
-      } else child = size
+  /** Whether row position i sorts before j: by key, ties in heap preorder of i + 1, j + 1. */
+  private def precedes(key: Array[Double], i: Int, j: Int): Boolean =
+    key(i) < key(j) || (key(i) == key(j) && preorderBefore(i + 1, j + 1))
+
+  /** Sort the row positions pos(from until until) by `precedes`: insertion sort, merge sort above 16. */
+  private[core] def sortRow(key: Array[Double], pos: Array[Int], tmp: Array[Int],
+                            from: Int, until: Int): Unit =
+    if (until - from <= 16) {
+      var i = from + 1
+      while (i < until) {
+        val p = pos(i)
+        var j = i
+        while (j > from && precedes(key, p, pos(j - 1))) { pos(j) = pos(j - 1); j -= 1 }
+        pos(j) = p
+        i += 1
+      }
+    } else {
+      val mid = (from + until) >>> 1
+      sortRow(key, pos, tmp, from, mid)
+      sortRow(key, pos, tmp, mid, until)
+      if (precedes(key, pos(mid), pos(mid - 1))) {
+        // The left half moves to tmp; the output never overtakes the right
+        // half's reader, and once the left half is used up the rest is in place.
+        System.arraycopy(pos, from, tmp, from, mid - from)
+        var i = from; var j = mid; var k = from
+        while (i < mid) {
+          if (j < until && precedes(key, pos(j), tmp(i))) { pos(k) = pos(j); j += 1 }
+          else { pos(k) = tmp(i); i += 1 }
+          k += 1
+        }
+      }
     }
-    front(i) = j
+
+  /** The key of an edge last pushed at level t: t + c, or the next double
+    * above t where that sum rounds to t. So a key ≤ T always means t < T,
+    * and the push it allows moves (T − t)·A_e > 0.
+    */
+  private def key(t: Double, c: Double): Double = {
+    val k = t + c
+    if (k > t) k else Math.nextUp(t)
   }
 
-  /** Add j to the heap front(0 until size) at slot size and sift it up. */
-  private[core] def frontUp(key: Array[Double], front: Array[Int], size: Int, j: Int): Unit = {
-    var i = size
-    while (i > 0 && before(key, j, front((i - 1) / 2))) {
-      front(i) = front((i - 1) / 2)
-      i = (i - 1) / 2
-    }
-    front(i) = j
-  }
+  private def badTheta(g: WeightedGraph, u: Int, e: Int, th: Double): Nothing =
+    throw new IllegalArgumentException(s"theta($e) = $th on edge ($u,${g.nbr(e)}) is not positive")
 
   /** Run EdgePush with per-directed-edge thresholds `theta` (use
     * [[Thresholds.l1]] or [[Thresholds.rmax]]).
@@ -143,17 +122,20 @@ object EdgePushSeq {
           scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) =
     runProbed(g, s, alpha, theta, scanSwitchFrac, NoProbe)
 
-  /** Sees the live state (q, Q) as each drain of a node x begins, before its
-    * pushes. A trait rather than a function type, whose `Int` argument would
-    * be boxed on every drain.
+  /** Sees each drain of the queue phase as it ends: node x drained at
+    * `level`; before(i) and after(i) are the levels t of x's edge at row
+    * position i (CSR order) when the drain began and ended; queued(0 until j)
+    * are the row positions of the edges whose targets the drain put on L,
+    * in the order they joined.
     */
   private[core] trait DrainProbe {
-    def apply(x: Int, q: Array[Double], expense: Array[Double]): Unit
+    def apply(x: Int, level: Double, before: Array[Double], after: Array[Double],
+              queued: Array[Int], j: Int): Unit
   }
 
-  private val NoProbe: DrainProbe = (_, _, _) => ()
+  private val NoProbe: DrainProbe = (_, _, _, _, _, _) => ()
 
-  /** As `run`, calling `onDrain` as each drain begins. */
+  /** As `run`, calling `onDrain` as each drain ends. */
   private[core] def runProbed(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
                               scanSwitchFrac: Option[Double], onDrain: DrainProbe)
       : (PprResult, Array[Double], Array[Double]) = {
@@ -161,78 +143,111 @@ object EdgePushSeq {
     val t0 = System.nanoTime()
     val n = g.n
     val q = new Array[Double](n)
-    val expense = new Array[Double](g.directedEdgeCount) // Q_uv
     q(s) = 1.0
+    var pushOps = 0L; var touches = 0L
 
-    var pushOps = 0L
-    var touches = 0L
-
-    // --- local level: per-node binary heaps in a per-query arena ---
-    // When node u is first drained (state Built), its segment of
-    // (hKey, hEdge) pairs is appended to the arena at off(u), in u's CSR
-    // order, and heapified: hKey(p) = (Q_e + θ_e)/w_e of the edge
-    // e = hEdge(p). Before that, none of u's edges has pushed, so its top
-    // key is min_e θ_e/w_e, found by one scan on first income (MinKnown).
-    // minKey caches the top key of every node past Unbuilt. The arena
-    // starts small and doubles, capped at 2m.
-    var hKey = new Array[Double](math.min(InitialArena, g.directedEdgeCount))
-    var hEdge = new Array[Int](hKey.length)
-    var used = 0
-    val off = new Array[Int](n)
-    val state = new Array[Byte](n) // Unbuilt, MinKnown or Built
+    // --- local level, in two per-query arenas that start small and double ---
+    // A node x past Unseen has its top key in minKey(x). Once Sorted, its
+    // edges, sorted by c, are sorted(off(x) until off(x) + n(x)), and its runs
+    // sit at h = runAt(x): runEnd(h) holds their count, runEnd(h + 1) the
+    // region's capacity, and run i ends before sorted position
+    // runEnd(h + 2 + i) (relative to off(x)), at level runLevel(h + 2 + i).
+    val state = new Array[Byte](n) // Unseen, MinKnown or Sorted
     val minKey = new Array[Double](n)
+    val off = new Array[Int](n)
+    val runAt = new Array[Int](n)
+    var sorted = new Array[Int](math.min(InitialArena, g.directedEdgeCount)); var sortedUsed = 0
+    var runEnd = new Array[Int](InitialArena); var runLevel = new Array[Double](InitialArena); var runUsed = 0
+    // Per-drain scratch, grown to the largest n(x) drained: row positions
+    // (to sort, then of the edges whose targets join L), keys by row
+    // position, and the runs the drain leaves.
+    var pos = new Array[Int](InitialArena)
+    var tmp = new Array[Int](InitialArena)
+    var rowKey = new Array[Double](InitialArena)
+    var nextEnd = new Array[Int](InitialArena)
+    var nextLevel = new Array[Double](InitialArena)
 
-    /** Append u's segment with its initial keys θ/w and heapify it (Floyd). */
-    def build(u: Int): Unit = {
-      val e0 = g.indptr(u)
-      val len = g.indptr(u + 1) - e0
-      if (used + len > hKey.length) {
-        val cap = math.min(math.max(2L * hKey.length, used + len), g.directedEdgeCount).toInt
-        hKey = java.util.Arrays.copyOf(hKey, cap)
-        hEdge = java.util.Arrays.copyOf(hEdge, cap)
+    /** A run region of capacity `cap` at the end of the run arena. */
+    def newRuns(cap: Int): Int = {
+      if (runUsed + 2 + cap > runEnd.length) {
+        val len = math.max(2 * runEnd.length, runUsed + 2 + cap)
+        runEnd = java.util.Arrays.copyOf(runEnd, len); runLevel = java.util.Arrays.copyOf(runLevel, len)
       }
-      val lo = used
-      var i = 0
-      while (i < len) { hKey(lo + i) = theta(e0 + i) / g.wgt(e0 + i); hEdge(lo + i) = e0 + i; i += 1 }
-      var p = lo + len / 2 - 1
-      while (p >= lo) { siftDown(hKey, hEdge, lo, lo + len, p); p -= 1 }
-      used += len
-      off(u) = lo
-      minKey(u) = hKey(lo)
-      state(u) = Built
+      runEnd(runUsed + 1) = cap
+      runUsed += 2 + cap
+      runUsed - 2 - cap
     }
 
-    /** Key at the top of Q(x), for a node x with edges. */
+    /** Sort x's edges into the edge arena, as one run of level 0. */
+    def sortEdges(x: Int): Unit = {
+      val e0 = g.indptr(x)
+      val len = g.nbrCount(x)
+      var i = 0
+      while (i < len) { rowKey(i) = theta(e0 + i) / g.wgt(e0 + i); pos(i) = i; i += 1 }
+      sortRow(rowKey, pos, tmp, 0, len)
+      if (sortedUsed + len > sorted.length) {
+        val cap = math.min(math.max(2L * sorted.length, sortedUsed + len), g.directedEdgeCount).toInt
+        sorted = java.util.Arrays.copyOf(sorted, cap)
+      }
+      i = 0; while (i < len) { sorted(sortedUsed + i) = e0 + pos(i); i += 1 }
+      off(x) = sortedUsed; sortedUsed += len
+      val h = newRuns(math.min(len, 4))
+      runEnd(h) = 1; runEnd(h + 2) = len; runLevel(h + 2) = 0.0
+      runAt(x) = h
+      state(x) = Sorted
+    }
+
+    /** out(at + i) = the level t of sorted node x's edge at row position i,
+      * or Q_e = t·A_e of that edge e if `weighted`.
+      */
+    def spread(x: Int, out: Array[Double], at: Int, weighted: Boolean): Unit = {
+      val h = runAt(x)
+      var p = 0; var i = 0
+      while (i < runEnd(h)) {
+        val t = runLevel(h + 2 + i)
+        while (p < runEnd(h + 2 + i)) {
+          val e = sorted(off(x) + p)
+          out(at + e - g.indptr(x)) = if (weighted) t * g.wgt(e) else t
+          p += 1
+        }
+        i += 1
+      }
+    }
+
+    /** The levels of x's edges by row position, for the probe. */
+    def levels(x: Int): Array[Double] = {
+      val out = new Array[Double](g.nbrCount(x))
+      if (state(x) == Sorted) spread(x, out, 0, weighted = false)
+      out
+    }
+
+    /** Top key of a node x with edges. */
     def topKey(x: Int): Double = {
-      if (state(x) == Unbuilt) {
+      if (state(x) == Unseen) {
         var m = Double.PositiveInfinity
         var e = g.indptr(x)
         while (e < g.indptr(x + 1)) {
-          val k = theta(e) / g.wgt(e)
-          if (k < m) m = k
+          val th = theta(e)
+          if (!(th > 0)) badTheta(g, x, e, th)
+          val c = th / g.wgt(e)
+          if (c < m) m = c
           e += 1
         }
-        minKey(x) = m
+        minKey(x) = key(0.0, m)
         state(x) = MinKnown
       }
       minKey(x)
     }
 
-    // K_u ≤ 0  ⇔  (1−α)q(u)/d(u) ≥ key(top of Q(u))
+    // x has a candidate edge  ⇔  its level reaches its top key
     def eligible(x: Int): Boolean =
       g.indptr(x) < g.indptr(x + 1) && g.deg(x) > 0 &&
         (1 - alpha) * q(x) / g.deg(x) >= topKey(x)
 
-    // --- global level: FIFO queue L of nodes with K_u ≤ 0; a node is in L
+    // --- global level: FIFO queue L of the eligible nodes; a node is in L
     // at most once (inL) ---
     val inL = new Array[Boolean](n)
     val list = new IntFifo
-    // A drain's collected heap positions, and the heap of the neighbours it
-    // makes eligible with their edges' keys before the drain (by 1-based
-    // segment index); grown to the largest n(x) drained.
-    var pos = new Array[Int](InitialArena)
-    var front = new Array[Int](InitialArena)
-    var queuedKey = new Array[Double](InitialArena + 1)
     if (eligible(s)) { inL(s) = true; list.reserve(1); list.add(s) }
 
     val switchAt = scanSwitchFrac.fold(Double.PositiveInfinity)(_ * g.directedEdgeCount)
@@ -241,101 +256,107 @@ object EdgePushSeq {
     while (!list.isEmpty && !switched) {
       val x = list.poll()
       inL(x) = false
-      // Drain x: push each edge with key ≤ T once, in one pass (see above).
-      var go = eligible(x)
-      if (go) {
-        if (state(x) != Built) build(x)
-        // Only build moves the arena, so these stay valid for the drain.
-        val keys = hKey
-        val edges = hEdge
-        val lo = off(x)
+      if (eligible(x)) {
+        val e0 = g.indptr(x)
         val len = g.nbrCount(x)
-        val hi = lo + len
-        list.reserve(len) // a drain enqueues each neighbour at most once
         if (len > pos.length) {
-          pos = new Array[Int](math.max(len, 2 * pos.length))
-          front = new Array[Int](pos.length)
-          queuedKey = new Array[Double](pos.length + 1)
+          val cap = math.max(len, 2 * pos.length)
+          pos = new Array[Int](cap); tmp = new Array[Int](cap); rowKey = new Array[Double](cap)
+          nextEnd = new Array[Int](cap); nextLevel = new Array[Double](cap)
         }
-        onDrain(x, q, expense)
-        val a = (1 - alpha) * q(x)
-        val d = g.deg(x)
-        val level = a / d
-        // One pass normally suffices; the re-check guards against FP fuzz.
-        while (go) {
-          // Collect the positions with key ≤ T level by level from the root.
-          // The set is top-closed, so expanding only taken positions finds
-          // all of it; pos(0 until k) ascends.
-          pos(0) = lo
-          var k = 1
-          var i = 0
-          while (i < k) {
-            val c = lo + 2 * (pos(i) - lo) + 1
-            if (c < hi && keys(c) <= level) { pos(k) = c; k += 1 }
-            if (c + 1 < hi && keys(c + 1) <= level) { pos(k) = c + 1; k += 1 }
-            i += 1
-          }
-          // Push them. The neighbours made eligible join L afterwards, in the
-          // order the per-push heap would have pushed their edges.
-          var f = 0
-          i = 0
-          while (i < k) {
-            val p = pos(i)
-            val e = edges(p)
-            val v = g.nbr(e)
-            val y = a * g.wgt(e) / d - expense(e)
-            // y ≥ θ_e since key_e ≤ T; guard against FP fuzz anyway.
-            if (y > 0) {
-              expense(e) += y
-              q(v) += y
-              pushOps += 1
-              touches += 1
+        if (state(x) != Sorted) sortEdges(x)
+        list.reserve(len) // a drain enqueues each neighbour at most once
+        val before = if (onDrain eq NoProbe) null else levels(x)
+        val level = (1 - alpha) * q(x) / g.deg(x)
+        // Only newRuns moves the run arena, and it runs after the pushes.
+        val edges = sorted; val ends = runEnd; val runLevels = runLevel
+        val o = off(x)
+        var h = runAt(x)
+        var m = 0 // runs left by the drain, in nextEnd/nextLevel
+        var j = 0 // neighbours made eligible, by row position in pos
+        var start = 0; var i = 0
+        while (i < ends(h)) {
+          val end = ends(h + 2 + i)
+          val t = runLevels(h + 2 + i)
+          var p = start
+          if (t < level) {
+            val dt = level - t
+            var more = true
+            while (more && p < end) {
+              val e = edges(o + p)
+              val w = g.wgt(e)
+              val c = theta(e) / w
+              if (t + c <= level) {
+                val v = g.nbr(e)
+                q(v) += dt * w
+                if (!inL(v) && eligible(v)) {
+                  inL(v) = true
+                  pos(j) = e - e0
+                  rowKey(e - e0) = key(t, c)
+                  j += 1
+                }
+                p += 1
+              } else more = false
             }
-            if (!inL(v) && eligible(v)) {
-              inL(v) = true
-              queuedKey(p - lo + 1) = keys(p)
-              frontUp(queuedKey, front, f, p - lo + 1)
-              f += 1
-            }
-            keys(p) = (expense(e) + theta(e)) / g.wgt(e)
-            i += 1
           }
-          while (f > 0) {
-            list.add(g.nbr(edges(lo + front(0) - 1)))
-            f -= 1
-            if (f > 0) frontDown(queuedKey, front, f, front(f))
+          pushOps += p - start; touches += p - start
+          // The pushed prefix at `level`, then the rest at t; adjacent runs
+          // of equal level merge.
+          if (p > start) {
+            if (m > 0 && nextLevel(m - 1) == level) nextEnd(m - 1) = p
+            else { nextEnd(m) = p; nextLevel(m) = level; m += 1 }
           }
-          // Restore the heap bottom-up over the collected positions: Floyd's
-          // heapify restricted to the subtree they form.
-          i = k - 1
-          while (i >= 0) { siftDown(keys, edges, lo, hi, pos(i)); i -= 1 }
-          minKey(x) = keys(lo)
-          go = level >= keys(lo)
+          if (end > p) {
+            if (m > 0 && nextLevel(m - 1) == t) nextEnd(m - 1) = end
+            else { nextEnd(m) = end; nextLevel(m) = t; m += 1 }
+          }
+          start = end
+          i += 1
         }
+        var top = Double.PositiveInfinity
+        var first = 0; i = 0
+        while (i < m) {
+          val e = edges(o + first)
+          val k = key(nextLevel(i), theta(e) / g.wgt(e))
+          if (k < top) top = k
+          first = nextEnd(i)
+          i += 1
+        }
+        minKey(x) = top
+        if (m > ends(h + 1)) { h = newRuns(math.min(len, 2 * m)); runAt(x) = h }
+        runEnd(h) = m
+        System.arraycopy(nextEnd, 0, runEnd, h + 2, m)
+        System.arraycopy(nextLevel, 0, runLevel, h + 2, m)
+        // The neighbours join L by their edges' keys before the drain.
+        sortRow(rowKey, pos, tmp, 0, j)
+        if (before != null) onDrain(x, level, before, levels(x), pos, j)
+        i = 0; while (i < j) { list.add(g.nbr(e0 + pos(i))); i += 1 }
       }
       if (pushOps > switchAt) switched = true
     }
 
+    // Q_e = t_e·A_e from the runs, for the caller and for the scan phase.
+    val expense = new Array[Double](g.directedEdgeCount)
+    var x0 = 0
+    while (x0 < n) { if (state(x0) == Sorted) spread(x0, expense, g.indptr(x0), weighted = true); x0 += 1 }
+
     if (switched) {
-      // §6.2-style sequential scan phase: passes over Ē pushing every edge
-      // with R_e ≥ θ_e, until a pass performs no push. A node u can have an
-      // eligible edge only if (1−α)·q(u)/d(u) · max_e(A_e/θ_e) ≥ 1 (the
-      // bound ignores Q_e ≥ 0, so it is conservative); nodes failing it
-      // are skipped in O(1), keeping pass cost ≈ n + Σ_{flagged} n(u).
+      // §6.2-style scan passes until one pushes nothing. u can have an eligible
+      // edge only if (1−α)·q(u)/d(u)·max_e(A_e/θ_e) ≥ 1 (Q_e ≥ 0 ignored).
       val maxWT = new Array[Double](n)
-      var x0 = 0
+      x0 = 0
       while (x0 < n) {
         var p = g.indptr(x0)
         while (p < g.indptr(x0 + 1)) {
+          if (!(theta(p) > 0)) badTheta(g, x0, p, theta(p))
           val r = g.wgt(p) / theta(p)
           if (r > maxWT(x0)) maxWT(x0) = r
           p += 1
         }
         x0 += 1
       }
-      // Exact skip: R_e = (1−α)q(u)A_e/d(u) − Q_e changes only when q(u)
-      // grows (Q_e changes only during u's own scan), so a node scanned
-      // clean needs rescanning only once its income changed.
+      // Exact skip: R_e changes only when q(u) grows (Q_e only during u's
+      // own scan), so a node scanned clean waits for new income.
       val lastScanQ = Array.fill(n)(-1.0)
       var anyPush = true
       while (anyPush) {
@@ -370,27 +391,5 @@ object EdgePushSeq {
     while (i < n) { pi(i) = alpha * q(i); i += 1 }
     (PprResult(pi, pushOps, touches, walkSteps = 0, wallNanos = System.nanoTime() - t0),
       q, expense)
-  }
-
-  /** Variant returning (π̂, R) where R is the final edge-residue array
-    * R_e = (1−α)·q(u)·A_e/d(u) − Q_e — used by invariant tests.
-    */
-  def computeWithResidues(g: WeightedGraph, s: Int, alpha: Double,
-                          theta: Array[Double]): (Array[Double], Array[Double]) = {
-    val (result, q, expense) = run(g, s, alpha, theta)
-    val residues = new Array[Double](g.directedEdgeCount)
-    var u = 0
-    while (u < g.n) {
-      if (g.deg(u) > 0) {
-        val scale = (1 - alpha) * q(u) / g.deg(u)
-        var e = g.indptr(u)
-        while (e < g.indptr(u + 1)) {
-          residues(e) = scale * g.wgt(e) - expense(e)
-          e += 1
-        }
-      }
-      u += 1
-    }
-    (result.pi, residues)
   }
 }

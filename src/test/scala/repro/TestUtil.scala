@@ -1,5 +1,6 @@
 package repro
 
+import repro.core.EdgePushSeq
 import repro.graph.WeightedGraph
 
 /** Shared helpers for the test suites. */
@@ -71,6 +72,29 @@ object TestUtil {
       row -= 1
     }
     x
+  }
+
+  /** EdgePush's π̂ and its terminal edge residues
+    * R_e = (1−α)·q(u)·A_e/d(u) − Q_e, recomputed from `EdgePushSeq.run`'s
+    * terminal income q and expense Q.
+    */
+  def edgePushWithResidues(g: WeightedGraph, s: Int, alpha: Double, theta: Array[Double],
+                           scanSwitchFrac: Option[Double] = None): (Array[Double], Array[Double]) = {
+    val (result, q, expense) = EdgePushSeq.run(g, s, alpha, theta, scanSwitchFrac)
+    val residues = new Array[Double](g.directedEdgeCount)
+    var u = 0
+    while (u < g.n) {
+      if (g.deg(u) > 0) {
+        val scale = (1 - alpha) * q(u) / g.deg(u)
+        var e = g.indptr(u)
+        while (e < g.indptr(u + 1)) {
+          residues(e) = scale * g.wgt(e) - expense(e)
+          e += 1
+        }
+      }
+      u += 1
+    }
+    (result.pi, residues)
   }
 
   def assertClose(got: Double, want: Double, tol: Double, msg: String = ""): Unit =

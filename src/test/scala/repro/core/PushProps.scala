@@ -2,6 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 import repro.TestUtil
+import repro.graph.WeightedGraph
 import repro.graphgen.GraphGen
 import repro.metrics.{Errors, Unbalancedness}
 
@@ -60,4 +61,33 @@ object PushProps extends Properties("Push") {
     (0 until g.n).forall(u =>
       g.deg(u) == 0 || math.abs(pi(u) - exact(u)) / g.deg(u) <= 1e-2 + 1e-12)
   }
+
+  // Random graphs with weights log-uniform over [1e-12, 1e12].
+  private val wideGraphGen = for {
+    n <- Gen.choose(8, 30)
+    p <- Gen.choose(10, 30).map(_ / 100.0)
+    seed <- Gen.choose(0L, 10000L)
+  } yield {
+    val rnd = new scala.util.Random(seed)
+    WeightedGraph.fromUndirectedEdges(n, GraphGen.undirectedEdges(GraphGen.randomGraph(n, p, seed))
+      .map { case (u, v, _) => (u, v, math.pow(10, -12 + 24 * rnd.nextDouble())) })
+  }
+
+  property("EdgePush certificate: R_e < θ_e and Σπ̂ + ΣR = 1 for weights from 1e-12 to 1e12") =
+    Prop.forAll(wideGraphGen, Gen.oneOf("l1", "rmax"), Gen.oneOf(None, Some(0.0))) { (g, kind, mode) =>
+      val s = g.sampleSourcesByDegree(1, 5)(0)
+      val theta = if (kind == "l1") Thresholds.l1(g, 1e-3) else Thresholds.rmax(g, 1e-4)
+      val (res, q, expense) = EdgePushSeq.run(g, s, alpha, theta, mode)
+      // R_e is rounded relative to Q_e + θ_e; a node without edges keeps (1−α)·q(u)
+      var certified = true
+      var residue = 0.0
+      for (u <- 0 until g.n)
+        if (g.deg(u) > 0) for (e <- g.indptr(u) until g.indptr(u + 1)) {
+          val r = (1 - alpha) * q(u) / g.deg(u) * g.wgt(e) - expense(e)
+          certified &&= r - theta(e) < 1e-12 * (expense(e) + theta(e))
+          residue += r
+        }
+        else residue += (1 - alpha) * q(u)
+      certified && math.abs(res.pi.sum + residue - 1) <= 1e-9
+    }
 }
