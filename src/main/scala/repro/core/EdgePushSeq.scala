@@ -11,46 +11,38 @@ import repro.graph.WeightedGraph
   * (0 before any), and e is a candidate (R_e ≥ θ_e) iff t_e + c_e ≤ T, with
   * c_e = θ_e/A_e. Levels only rise.
   *
-  *  - local level: when u first drains, its edges are sorted once by c_e,
-  *    equal c_e in the heap preorder of their 1-based CSR offsets. In that
-  *    order they form a few runs of equal t (2.8 per drain on seq-deep),
-  *    kept as (end, t) pairs; within a run the candidates are a prefix.
-  *  - global level: a FIFO list L of the nodes with a candidate. Each
-  *    node's top key, the least t + c over its runs' first edges (min_e c_e
-  *    before its first drain), is cached in an n-long array.
+  *  - local level: a node's edges ordered by c_e (ties in heap preorder of
+  *    their 1-based CSR offsets) form a few runs of equal t, 2.8 per drain
+  *    on seq-deep, kept as (end, t) pairs; a run's candidates are a prefix.
+  *    A first drain sorts only what it pushes, a later one the rest.
+  *  - global level: a FIFO list L of the nodes with a candidate, and each
+  *    node's cached top key, the least t + c over its runs' first edges.
   *
   * A drain of u at level T pushes, from each run of level t < T, the prefix
-  * with t + c_e ≤ T: y = (T − t)·A_e, then q(v) += y. T is fixed while u
-  * drains (no self-loops), and the pushed prefixes become runs of level T.
-  * There is no sift and no per-push write of edge state; the paper's O(1)
-  * amortized push (Thorup's queue, Fact 3) becomes O(1) plus a share of the
-  * run walk, which changes constants, never the pushes Lemma 3 bounds. The
-  * neighbours a drain makes eligible join L by their edges' keys before the
-  * drain, equal keys in the same preorder.
+  * with t + c_e ≤ T: y = (T − t)·A_e, then q(v) += y; the prefixes become
+  * runs of level T. No sift, no per-push write of edge state: Thorup's O(1)
+  * push (Fact 3) becomes O(1) plus a share of the run walk, which changes
+  * constants, not the pushes Lemma 3 bounds. Neighbours made eligible join
+  * L by their edges' keys before the drain.
   *
-  * Per query: a zeroed O(n) allocation and the returned 2m-long Q; one
-  * O(n(u)) scan for min_e c_e when u first receives income, which also
-  * rejects θ_e ≤ 0 or NaN; an O(n(u) log n(u)) sort and n(u) arena slots
-  * when u first drains; O(k + r + j log j) per drain that pushes k edges
-  * over r runs and queues j neighbours. Q_e = t_e·A_e is written once, from
-  * the runs, when the queue phase ends.
+  * Per query: a zeroed O(n) allocation and the returned 2m-long Q, written
+  * once from the runs after the queue phase; an O(n(u)) scan for min_e c_e
+  * when u first receives income, which also rejects θ_e ≤ 0 or NaN; at most
+  * two partitions and sorts of u's row; O(k + r + j log j) per drain that
+  * pushes k edges over r runs and queues j neighbours.
   *
-  * An optional scan mode mirrors the §6.2 PowForPush-style switch: once
-  * edge pushes exceed `scanSwitchFrac·2m`, the two-level structure gives
-  * way to sequential passes that push every edge with R_e ≥ θ_e. A
-  * per-node bound max_e A_e/θ_e skips nodes with no eligible edge in O(1),
-  * so a pass costs n + Σ n(u) over flagged nodes, like PowForPush's.
-  * Scanned nodes and edges are billed to `edgeTouches`.
+  * An optional scan mode mirrors §6.2's PowForPush switch: past
+  * `scanSwitchFrac·2m` pushes, sequential passes push every edge with
+  * R_e ≥ θ_e, skipping in O(1) nodes whose bound max_e A_e/θ_e rules it
+  * out. Scanned nodes and edges are billed to `edgeTouches`.
   */
 object EdgePushSeq {
 
-  // Per-query state of a node (see `run`).
-  private final val Unseen = 0
-  private final val MinKnown = 1
-  private final val Sorted = 2
-
   /** Initial number of slots in a query's edge and run arenas. */
   private[core] final val InitialArena = 64
+
+  /** Slots before the runs of a node's region in the run arena. */
+  private[core] final val Header = 5
 
   /** Whether 1-based heap index i comes before j in preorder (node, left, right). */
   private def preorderBefore(i: Int, j: Int): Boolean = {
@@ -122,11 +114,9 @@ object EdgePushSeq {
           scanSwitchFrac: Option[Double] = None): (PprResult, Array[Double], Array[Double]) =
     runProbed(g, s, alpha, theta, scanSwitchFrac, NoProbe)
 
-  /** Sees each drain of the queue phase as it ends: node x drained at
-    * `level`; before(i) and after(i) are the levels t of x's edge at row
-    * position i (CSR order) when the drain began and ended; queued(0 until j)
-    * are the row positions of the edges whose targets the drain put on L,
-    * in the order they joined.
+  /** Sees each queue-phase drain as it ends: x drained at `level`; before(i), after(i) are
+    * the levels t of x's edge at row position i then; queued(0 until j) are the row
+    * positions of the edges whose targets the drain put on L, in the order they joined.
     */
   private[core] trait DrainProbe {
     def apply(x: Int, level: Double, before: Array[Double], after: Array[Double],
@@ -147,66 +137,79 @@ object EdgePushSeq {
     var pushOps = 0L; var touches = 0L
 
     // --- local level, in two per-query arenas that start small and double ---
-    // A node x past Unseen has its top key in minKey(x). Once Sorted, its
-    // edges, sorted by c, are sorted(off(x) until off(x) + n(x)), and its runs
-    // sit at h = runAt(x): runEnd(h) holds their count, runEnd(h + 1) the
-    // region's capacity, and run i ends before sorted position
-    // runEnd(h + 2 + i) (relative to off(x)), at level runLevel(h + 2 + i).
-    val state = new Array[Byte](n) // Unseen, MinKnown or Sorted
+    // minKey(x) is x's top key, or 0 before x's row is first read. Once x
+    // drains, its run region starts at h = runAt(x) > 0: runEnd(h until h + 5)
+    // = (run count, capacity, start of the unsorted tail or n(x), x, o), with
+    // x's edges at sorted(o until o + n(x)), and runLevel(h) = the tail's
+    // least c. Run i ends before o + runEnd(h + Header + i), at level
+    // runLevel(h + Header + i).
     val minKey = new Array[Double](n)
-    val off = new Array[Int](n)
     val runAt = new Array[Int](n)
     var sorted = new Array[Int](math.min(InitialArena, g.directedEdgeCount)); var sortedUsed = 0
-    var runEnd = new Array[Int](InitialArena); var runLevel = new Array[Double](InitialArena); var runUsed = 0
+    var runEnd = new Array[Int](InitialArena); var runLevel = new Array[Double](InitialArena); var runUsed = 1
     // Per-drain scratch, grown to the largest n(x) drained: row positions
     // (to sort, then of the edges whose targets join L), keys by row
     // position, and the runs the drain leaves.
-    var pos = new Array[Int](InitialArena)
-    var tmp = new Array[Int](InitialArena)
+    var pos = new Array[Int](InitialArena); var tmp = new Array[Int](InitialArena)
     var rowKey = new Array[Double](InitialArena)
-    var nextEnd = new Array[Int](InitialArena)
-    var nextLevel = new Array[Double](InitialArena)
+    var nextEnd = new Array[Int](InitialArena); var nextLevel = new Array[Double](InitialArena)
 
-    /** A run region of capacity `cap` at the end of the run arena. */
-    def newRuns(cap: Int): Int = {
-      if (runUsed + 2 + cap > runEnd.length) {
-        val len = math.max(2 * runEnd.length, runUsed + 2 + cap)
+    /** A new run region of capacity `cap` for x, with the header of its old one, if any. */
+    def newRuns(x: Int, cap: Int): Int = {
+      if (runUsed + Header + cap > runEnd.length) {
+        val len = math.max(2 * runEnd.length, runUsed + Header + cap)
         runEnd = java.util.Arrays.copyOf(runEnd, len); runLevel = java.util.Arrays.copyOf(runLevel, len)
       }
-      runEnd(runUsed + 1) = cap
-      runUsed += 2 + cap
-      runUsed - 2 - cap
+      val h = runUsed
+      if (runAt(x) != 0) { System.arraycopy(runEnd, runAt(x), runEnd, h, Header); runLevel(h) = runLevel(runAt(x)) }
+      runEnd(h + 1) = cap; runEnd(h + 3) = x
+      runUsed += Header + cap
+      runAt(x) = h
+      h
     }
 
-    /** Sort x's edges into the edge arena, as one run of level 0. */
-    def sortEdges(x: Int): Unit = {
+    /** Move the edges of x's unsorted tail with c_e ≤ bound to its front,
+      * sorted; the rest stay unsorted behind them as the new tail. A node's
+      * first call gives it arena space, its whole row as the tail, and one
+      * run of level 0 (fresh arena slots are 0).
+      */
+    def sortTail(x: Int, bound: Double): Unit = {
       val e0 = g.indptr(x)
       val len = g.nbrCount(x)
-      var i = 0
-      while (i < len) { rowKey(i) = theta(e0 + i) / g.wgt(e0 + i); pos(i) = i; i += 1 }
-      sortRow(rowKey, pos, tmp, 0, len)
-      if (sortedUsed + len > sorted.length) {
-        val cap = math.min(math.max(2L * sorted.length, sortedUsed + len), g.directedEdgeCount).toInt
-        sorted = java.util.Arrays.copyOf(sorted, cap)
+      val fresh = runAt(x) == 0
+      if (fresh) {
+        if (sortedUsed + len > sorted.length) {
+          val cap = math.min(math.max(2L * sorted.length, sortedUsed + len), g.directedEdgeCount).toInt
+          sorted = java.util.Arrays.copyOf(sorted, cap)
+        }
+        val h = newRuns(x, math.min(len, 4))
+        runEnd(h) = 1; runEnd(h + 4) = sortedUsed; runEnd(h + Header) = len
+        sortedUsed += len
       }
-      i = 0; while (i < len) { sorted(sortedUsed + i) = e0 + pos(i); i += 1 }
-      off(x) = sortedUsed; sortedUsed += len
-      val h = newRuns(math.min(len, 4))
-      runEnd(h) = 1; runEnd(h + 2) = len; runLevel(h + 2) = 0.0
-      runAt(x) = h
-      state(x) = Sorted
+      val h = runAt(x); val o = runEnd(h + 4); val from = runEnd(h + 2)
+      var k = from; var r = len; var m = Double.PositiveInfinity; var i = from
+      while (i < len) {
+        val e = if (fresh) e0 + i else sorted(o + i)
+        val p = e - e0
+        val c = theta(e) / g.wgt(e)
+        rowKey(p) = c
+        if (c <= bound) { pos(k) = p; k += 1 }
+        else { r -= 1; pos(r) = p; if (c < m) m = c }
+        i += 1
+      }
+      sortRow(rowKey, pos, tmp, from, k)
+      i = from; while (i < len) { sorted(o + i) = e0 + pos(i); i += 1 }
+      runEnd(h + 2) = k; runLevel(h) = m
     }
 
-    /** out(at + i) = the level t of sorted node x's edge at row position i,
-      * or Q_e = t·A_e of that edge e if `weighted`.
-      */
+    /** out(at + i) = t of drained x's edge at row position i, or t·A_e if `weighted`. */
     def spread(x: Int, out: Array[Double], at: Int, weighted: Boolean): Unit = {
-      val h = runAt(x)
+      val h = runAt(x); val o = runEnd(h + 4)
       var p = 0; var i = 0
       while (i < runEnd(h)) {
-        val t = runLevel(h + 2 + i)
-        while (p < runEnd(h + 2 + i)) {
-          val e = sorted(off(x) + p)
+        val t = runLevel(h + Header + i)
+        while (p < runEnd(h + Header + i)) {
+          val e = sorted(o + p)
           out(at + e - g.indptr(x)) = if (weighted) t * g.wgt(e) else t
           p += 1
         }
@@ -215,15 +218,12 @@ object EdgePushSeq {
     }
 
     /** The levels of x's edges by row position, for the probe. */
-    def levels(x: Int): Array[Double] = {
-      val out = new Array[Double](g.nbrCount(x))
-      if (state(x) == Sorted) spread(x, out, 0, weighted = false)
-      out
-    }
+    def levels(x: Int): Array[Double] =
+      { val out = new Array[Double](g.nbrCount(x)); if (runAt(x) != 0) spread(x, out, 0, weighted = false); out }
 
     /** Top key of a node x with edges. */
     def topKey(x: Int): Double = {
-      if (state(x) == Unseen) {
+      if (minKey(x) == 0.0) {
         var m = Double.PositiveInfinity
         var e = g.indptr(x)
         while (e < g.indptr(x + 1)) {
@@ -234,7 +234,6 @@ object EdgePushSeq {
           e += 1
         }
         minKey(x) = key(0.0, m)
-        state(x) = MinKnown
       }
       minKey(x)
     }
@@ -264,69 +263,62 @@ object EdgePushSeq {
           pos = new Array[Int](cap); tmp = new Array[Int](cap); rowKey = new Array[Double](cap)
           nextEnd = new Array[Int](cap); nextLevel = new Array[Double](cap)
         }
-        if (state(x) != Sorted) sortEdges(x)
+        val level = (1 - alpha) * q(x) / g.deg(x)
+        // A first drain of a row past the insertion-sort cutoff sorts only the edges
+        // it pushes (c_e ≤ T); the first later drain to reach the rest sorts them.
+        if (runAt(x) == 0) sortTail(x, if (len <= 16) Double.PositiveInfinity else level)
+        else if (runEnd(runAt(x) + 2) < len && runLevel(runAt(x)) <= level) sortTail(x, Double.PositiveInfinity)
         list.reserve(len) // a drain enqueues each neighbour at most once
         val before = if (onDrain eq NoProbe) null else levels(x)
-        val level = (1 - alpha) * q(x) / g.deg(x)
         // Only newRuns moves the run arena, and it runs after the pushes.
         val edges = sorted; val ends = runEnd; val runLevels = runLevel
-        val o = off(x)
         var h = runAt(x)
+        val o = ends(h + 4)
+        // The unsorted tail, if any, is the last run, at level 0, keyed by its least c.
+        val tail = ends(h + 2); val tailMin = runLevels(h)
+        def c(p: Int): Double = if (p == tail) tailMin else theta(edges(o + p)) / g.wgt(edges(o + p))
         var m = 0 // runs left by the drain, in nextEnd/nextLevel
+        var top = Double.PositiveInfinity // the least key over their first edges
         var j = 0 // neighbours made eligible, by row position in pos
         var start = 0; var i = 0
         while (i < ends(h)) {
-          val end = ends(h + 2 + i)
-          val t = runLevels(h + 2 + i)
+          val end = ends(h + Header + i)
+          val t = runLevels(h + Header + i)
           var p = start
           if (t < level) {
             val dt = level - t
-            var more = true
-            while (more && p < end) {
+            while (p < end && t + c(p) <= level) {
               val e = edges(o + p)
-              val w = g.wgt(e)
-              val c = theta(e) / w
-              if (t + c <= level) {
-                val v = g.nbr(e)
-                q(v) += dt * w
-                if (!inL(v) && eligible(v)) {
-                  inL(v) = true
-                  pos(j) = e - e0
-                  rowKey(e - e0) = key(t, c)
-                  j += 1
-                }
-                p += 1
-              } else more = false
+              val v = g.nbr(e)
+              q(v) += dt * g.wgt(e)
+              if (!inL(v) && eligible(v)) {
+                inL(v) = true
+                pos(j) = e - e0
+                rowKey(e - e0) = key(t, c(p))
+                j += 1
+              }
+              p += 1
             }
           }
           pushOps += p - start; touches += p - start
           // The pushed prefix at `level`, then the rest at t; adjacent runs
-          // of equal level merge.
+          // of equal level merge, keeping the first one's first edge.
           if (p > start) {
             if (m > 0 && nextLevel(m - 1) == level) nextEnd(m - 1) = p
-            else { nextEnd(m) = p; nextLevel(m) = level; m += 1 }
+            else { nextEnd(m) = p; nextLevel(m) = level; m += 1; top = math.min(top, key(level, c(start))) }
           }
           if (end > p) {
             if (m > 0 && nextLevel(m - 1) == t) nextEnd(m - 1) = end
-            else { nextEnd(m) = end; nextLevel(m) = t; m += 1 }
+            else { nextEnd(m) = end; nextLevel(m) = t; m += 1; top = math.min(top, key(t, c(p))) }
           }
           start = end
           i += 1
         }
-        var top = Double.PositiveInfinity
-        var first = 0; i = 0
-        while (i < m) {
-          val e = edges(o + first)
-          val k = key(nextLevel(i), theta(e) / g.wgt(e))
-          if (k < top) top = k
-          first = nextEnd(i)
-          i += 1
-        }
         minKey(x) = top
-        if (m > ends(h + 1)) { h = newRuns(math.min(len, 2 * m)); runAt(x) = h }
+        if (m > ends(h + 1)) h = newRuns(x, math.min(len, 2 * m))
         runEnd(h) = m
-        System.arraycopy(nextEnd, 0, runEnd, h + 2, m)
-        System.arraycopy(nextLevel, 0, runLevel, h + 2, m)
+        System.arraycopy(nextEnd, 0, runEnd, h + Header, m)
+        System.arraycopy(nextLevel, 0, runLevel, h + Header, m)
         // The neighbours join L by their edges' keys before the drain.
         sortRow(rowKey, pos, tmp, 0, j)
         if (before != null) onDrain(x, level, before, levels(x), pos, j)
@@ -337,59 +329,67 @@ object EdgePushSeq {
 
     // Q_e = t_e·A_e from the runs, for the caller and for the scan phase.
     val expense = new Array[Double](g.directedEdgeCount)
-    var x0 = 0
-    while (x0 < n) { if (state(x0) == Sorted) spread(x0, expense, g.indptr(x0), weighted = true); x0 += 1 }
-
-    if (switched) {
-      // §6.2-style scan passes until one pushes nothing. u can have an eligible
-      // edge only if (1−α)·q(u)/d(u)·max_e(A_e/θ_e) ≥ 1 (Q_e ≥ 0 ignored).
-      val maxWT = new Array[Double](n)
-      x0 = 0
-      while (x0 < n) {
-        var p = g.indptr(x0)
-        while (p < g.indptr(x0 + 1)) {
-          if (!(theta(p) > 0)) badTheta(g, x0, p, theta(p))
-          val r = g.wgt(p) / theta(p)
-          if (r > maxWT(x0)) maxWT(x0) = r
-          p += 1
-        }
-        x0 += 1
-      }
-      // Exact skip: R_e changes only when q(u) grows (Q_e only during u's
-      // own scan), so a node scanned clean waits for new income.
-      val lastScanQ = Array.fill(n)(-1.0)
-      var anyPush = true
-      while (anyPush) {
-        anyPush = false
-        var x = 0
-        while (x < n) {
-          touches += 1 // the O(1) per-node prune check
-          if (g.deg(x) > 0 && q(x) > 0 && q(x) != lastScanQ(x) &&
-              (1 - alpha) * q(x) / g.deg(x) * maxWT(x) >= 1.0) {
-            val scale = (1 - alpha) * q(x) / g.deg(x)
-            lastScanQ(x) = q(x)
-            var p = g.indptr(x)
-            while (p < g.indptr(x + 1)) {
-              touches += 1
-              val y = scale * g.wgt(p) - expense(p)
-              if (y >= theta(p)) {
-                expense(p) += y
-                q(g.nbr(p)) += y
-                pushOps += 1
-                anyPush = true
-              }
-              p += 1
-            }
-          }
-          x += 1
-        }
-      }
+    var region = 1
+    while (region < runUsed) {
+      val x = runEnd(region + 3)
+      if (runAt(x) == region) spread(x, expense, g.indptr(x), weighted = true) // else x outgrew it
+      region += Header + runEnd(region + 1)
     }
 
-    val pi = new Array[Double](n)
-    var i = 0
-    while (i < n) { pi(i) = alpha * q(i); i += 1 }
+    if (switched) {
+      val (ops, scanned) = scan(g, alpha, theta, q, expense)
+      pushOps += ops; touches += scanned
+    }
+
+    val pi = Array.tabulate(n)(i => alpha * q(i))
     (PprResult(pi, pushOps, touches, walkSteps = 0, wallNanos = System.nanoTime() - t0),
       q, expense)
+  }
+
+  /** §6.2-style scan passes over q and Q until one pushes nothing; returns the pushes and touches. */
+  private def scan(g: WeightedGraph, alpha: Double, theta: Array[Double], q: Array[Double],
+                   expense: Array[Double]): (Long, Long) = {
+    val n = g.n
+    var pushOps = 0L; var touches = 0L
+    // u can have an eligible edge only if (1−α)·q(u)/d(u)·max_e(A_e/θ_e) ≥ 1
+    // (Q_e ≥ 0 ignored).
+    val maxWT = Array.tabulate(n) { x0 =>
+      var r = 0.0; var p = g.indptr(x0)
+      while (p < g.indptr(x0 + 1)) {
+        if (!(theta(p) > 0)) badTheta(g, x0, p, theta(p))
+        r = math.max(r, g.wgt(p) / theta(p)); p += 1
+      }
+      r
+    }
+    // Exact skip: R_e changes only when q(u) grows (Q_e only during u's
+    // own scan), so a node scanned clean waits for new income.
+    val lastScanQ = Array.fill(n)(-1.0)
+    var anyPush = true
+    while (anyPush) {
+      anyPush = false
+      var x = 0
+      while (x < n) {
+        touches += 1 // the O(1) per-node prune check
+        if (g.deg(x) > 0 && q(x) > 0 && q(x) != lastScanQ(x) &&
+            (1 - alpha) * q(x) / g.deg(x) * maxWT(x) >= 1.0) {
+          val scale = (1 - alpha) * q(x) / g.deg(x)
+          lastScanQ(x) = q(x)
+          var p = g.indptr(x)
+          while (p < g.indptr(x + 1)) {
+            touches += 1
+            val y = scale * g.wgt(p) - expense(p)
+            if (y >= theta(p)) {
+              expense(p) += y
+              q(g.nbr(p)) += y
+              pushOps += 1
+              anyPush = true
+            }
+            p += 1
+          }
+        }
+        x += 1
+      }
+    }
+    (pushOps, touches)
   }
 }

@@ -397,7 +397,8 @@ class EdgePushSeqSpec extends AnyFunSuite {
     val (res, q, expense) = EdgePushSeq.run(g, 1, alpha, theta)
     assert(v1Edges.exists(expense(_) > 0) && (g.indptr(hub) until g.indptr(hub + 1)).exists(expense(_) > 0))
     val drained = (0 until g.n).count(u => (g.indptr(u) until g.indptr(u + 1)).exists(expense(_) > 0))
-    assert(drained > EdgePushSeq.InitialArena / 6, s"$drained nodes drained")
+    // each drained node takes at least Header + 1 slots of the run arena
+    assert(drained > EdgePushSeq.InitialArena / (EdgePushSeq.Header + 1), s"$drained nodes drained")
     val (pi, residues) = TestUtil.edgePushWithResidues(g, 1, alpha, theta)
     residues.indices.foreach(e =>
       assert(residues(e) < theta(e) + 1e-15, s"edge $e: R_e=${residues(e)} θ_e=${theta(e)}"))
