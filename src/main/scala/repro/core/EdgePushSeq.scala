@@ -42,7 +42,7 @@ object EdgePushSeq {
   private[core] final val InitialArena = 64
 
   /** Slots before the runs of a node's region in the run arena. */
-  private[core] final val Header = 5
+  private[core] final val Header = 3
 
   /** Whether 1-based heap index i comes before j in preorder (node, left, right). */
   private def preorderBefore(i: Int, j: Int): Boolean = {
@@ -138,12 +138,13 @@ object EdgePushSeq {
 
     // --- local level, in two per-query arenas that start small and double ---
     // minKey(x) is x's top key, or 0 before x's row is first read. Once x
-    // drains, its run region starts at h = runAt(x) > 0: runEnd(h until h + 5)
-    // = (run count, capacity, start of the unsorted tail or n(x), x, o), with
-    // x's edges at sorted(o until o + n(x)), and runLevel(h) = the tail's
-    // least c. Run i ends before o + runEnd(h + Header + i), at level
+    // drains, its edges are sorted(off(x) until off(x) + n(x)), and its run
+    // region starts at h = runAt(x) > 0: runEnd(h until h + 3) = (run count,
+    // capacity, start of the unsorted tail or n(x)), runLevel(h) = the tail's
+    // least c. Run i ends before off(x) + runEnd(h + Header + i), at level
     // runLevel(h + Header + i).
     val minKey = new Array[Double](n)
+    val off = new Array[Int](n)
     val runAt = new Array[Int](n)
     var sorted = new Array[Int](math.min(InitialArena, g.directedEdgeCount)); var sortedUsed = 0
     var runEnd = new Array[Int](InitialArena); var runLevel = new Array[Double](InitialArena); var runUsed = 1
@@ -162,7 +163,7 @@ object EdgePushSeq {
       }
       val h = runUsed
       if (runAt(x) != 0) { System.arraycopy(runEnd, runAt(x), runEnd, h, Header); runLevel(h) = runLevel(runAt(x)) }
-      runEnd(h + 1) = cap; runEnd(h + 3) = x
+      runEnd(h + 1) = cap
       runUsed += Header + cap
       runAt(x) = h
       h
@@ -183,10 +184,10 @@ object EdgePushSeq {
           sorted = java.util.Arrays.copyOf(sorted, cap)
         }
         val h = newRuns(x, math.min(len, 4))
-        runEnd(h) = 1; runEnd(h + 4) = sortedUsed; runEnd(h + Header) = len
-        sortedUsed += len
+        runEnd(h) = 1; runEnd(h + Header) = len
+        off(x) = sortedUsed; sortedUsed += len
       }
-      val h = runAt(x); val o = runEnd(h + 4); val from = runEnd(h + 2)
+      val h = runAt(x); val o = off(x); val from = runEnd(h + 2)
       var k = from; var r = len; var m = Double.PositiveInfinity; var i = from
       while (i < len) {
         val e = if (fresh) e0 + i else sorted(o + i)
@@ -204,7 +205,7 @@ object EdgePushSeq {
 
     /** out(at + i) = t of drained x's edge at row position i, or t·A_e if `weighted`. */
     def spread(x: Int, out: Array[Double], at: Int, weighted: Boolean): Unit = {
-      val h = runAt(x); val o = runEnd(h + 4)
+      val h = runAt(x); val o = off(x)
       var p = 0; var i = 0
       while (i < runEnd(h)) {
         val t = runLevel(h + Header + i)
@@ -273,7 +274,7 @@ object EdgePushSeq {
         // Only newRuns moves the run arena, and it runs after the pushes.
         val edges = sorted; val ends = runEnd; val runLevels = runLevel
         var h = runAt(x)
-        val o = ends(h + 4)
+        val o = off(x)
         // The unsorted tail, if any, is the last run, at level 0, keyed by its least c.
         val tail = ends(h + 2); val tailMin = runLevels(h)
         def c(p: Int): Double = if (p == tail) tailMin else theta(edges(o + p)) / g.wgt(edges(o + p))
@@ -329,19 +330,17 @@ object EdgePushSeq {
 
     // Q_e = t_e·A_e from the runs, for the caller and for the scan phase.
     val expense = new Array[Double](g.directedEdgeCount)
-    var region = 1
-    while (region < runUsed) {
-      val x = runEnd(region + 3)
-      if (runAt(x) == region) spread(x, expense, g.indptr(x), weighted = true) // else x outgrew it
-      region += Header + runEnd(region + 1)
-    }
+    var x0 = 0
+    while (x0 < n) { if (runAt(x0) != 0) spread(x0, expense, g.indptr(x0), weighted = true); x0 += 1 }
 
     if (switched) {
       val (ops, scanned) = scan(g, alpha, theta, q, expense)
       pushOps += ops; touches += scanned
     }
 
-    val pi = Array.tabulate(n)(i => alpha * q(i))
+    val pi = new Array[Double](n)
+    var i = 0
+    while (i < n) { pi(i) = alpha * q(i); i += 1 }
     (PprResult(pi, pushOps, touches, walkSteps = 0, wallNanos = System.nanoTime() - t0),
       q, expense)
   }
