@@ -14,7 +14,10 @@ pairs the second label won (ties count for neither) and whether the gain
 rule is met: at least ten pairs, at least nine tenths of them won, and the
 medians differ by more than the first label's interquartile range. If both
 sets hold a traced run of the same seed, it then prints every per-layer
-metric that is not zero in both traced runs, side by side.
+metric that is not zero in both traced runs, side by side. Last, for each
+label's traced runs, it prints EdgePush's ns_per_touch and
+touches_per_query as multiples of the node method's (LocalPush, or
+PowForPush where the workload runs no LocalPush).
 """
 import argparse
 import json
@@ -50,6 +53,16 @@ def describe(label, rows):
     correct = all(x["correct"] for x in rows)
     return (f"{label}: {r['sha'][:7]}{flag}, source digest {r['source_digest']}, "
             f"{len(rows)} rows, correct {correct}, failed {failed}/{attempted}")
+
+
+def edge_over_node(metrics):
+    """EdgePush ÷ node method for ns_per_touch and touches_per_query."""
+    node = "localpush" if metrics.get("localpush.touches_per_query") else "powforpush"
+    ratios = []
+    for name in ("ns_per_touch", "touches_per_query"):
+        edge, base = metrics.get(f"edgepush.{name}", 0), metrics.get(f"{node}.{name}", 0)
+        ratios.append(f"{name} {edge:.4g} / {base:.4g} = {edge / base:.3f}x" if base else f"{name} n/a")
+    return node, ratios
 
 
 def main():
@@ -96,6 +109,10 @@ def main():
         for name in bm:
             if name in cm and (bm[name] or cm[name]):
                 print(f"  {name:<40} {bm[name]:>14.6g} {cm[name]:>14.6g}")
+    for label, label_rows in ((base_label, base_rows), (change_label, change_rows)):
+        for seed, row in sorted(by_seed(label_rows, 1).items()):
+            node, ratios = edge_over_node(row["metrics"])
+            print(f"{label} traced seed {seed}, EdgePush / {node}: " + "; ".join(ratios))
     return 0
 
 
